@@ -142,8 +142,7 @@ class Fig08GranularityAdd : public Scenario
         if (!ctx.quick()) {
             // The ROB cap: a very slow expression cannot be out-raced
             // once the baseline no longer fits the transient window.
-            // Pooled so single-worker runs take the batched SPMD tier
-            // (results are identical to lease-per-index at any --jobs).
+            // Pooled: each index leases a machine restored to the base.
             const std::vector<char> lost = ctx.poolMap(
                 pool, 31, [&](int i, Rng &, Machine &machine) -> char {
                     return exprOutlastsBaselineOn(machine, Opcode::Add,

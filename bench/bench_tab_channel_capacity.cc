@@ -83,12 +83,10 @@ class TabChannelCapacity : public Scenario
                 std::make_unique<MachinePool>(base_configs.back()));
         }
 
-        // Cells run per profile through poolMap, so at --jobs 1 each
-        // profile's channels go through the lockstep batched path
-        // (every cell's reseed diverges its follower — batching is
-        // exercised, output is unchanged). Payload RNG is re-derived
-        // from the flat channel x profile index so results stay
-        // byte-identical to the interleaved ordering at any --jobs.
+        // Cells run per profile through poolMap. Payload RNG is
+        // re-derived from the flat channel x profile index so results
+        // stay byte-identical to the interleaved ordering at any
+        // --jobs.
         std::vector<std::vector<Cell>> by_profile;
         for (int p = 0; p < num_profiles; ++p) {
             by_profile.push_back(ctx.poolMap(

@@ -114,14 +114,8 @@ usage()
         "  --profile=NAME       override the scenario's machine profile\n"
         "  --param key=value    scenario-specific parameter "
         "(repeatable)\n"
-        "  --no-batch           disable lockstep trial batching "
-        "(same output, slower)\n"
-        "  --no-group           disable the group-stepped batching "
-        "tier (same output)\n"
         "  --no-lockstep        disable periodic-loop forwarding in "
         "the core (same output, slower)\n"
-        "  --verbose            add execution diagnostics (batching "
-        "tier breakdown) to result metadata\n"
         "\n"
         "sweep options (plus the run options above):\n"
         "  --gadget=NAME        gadget to sweep (see `gadgets`)\n"
@@ -216,18 +210,9 @@ struct Cli
             if (arg == "--all") {
                 cli.run_all = true;
                 cli.seen.push_back("all");
-            } else if (arg == "--no-batch") {
-                cli.options.batch = false;
-                cli.seen.push_back("no-batch");
-            } else if (arg == "--no-group") {
-                cli.options.group = false;
-                cli.seen.push_back("no-group");
             } else if (arg == "--no-lockstep") {
                 cli.options.lockstep = false;
                 cli.seen.push_back("no-lockstep");
-            } else if (arg == "--verbose") {
-                cli.options.verbose = true;
-                cli.seen.push_back("verbose");
             } else if (arg == "--no-validate") {
                 cli.validate = false;
                 cli.seen.push_back("no-validate");
@@ -397,17 +382,15 @@ rejectStray(const Cli &cli, const std::string &command)
     } else if (command == "run" || command == "trace" ||
                command == "metrics") {
         allowed.insert(allowed.end(), {"all", "trials", "jobs", "seed",
-                                       "profile", "param", "no-batch",
-                                       "no-group", "no-lockstep",
-                                       "verbose", "trace", "progress"});
+                                       "profile", "param", "no-lockstep",
+                                       "trace", "progress"});
         if (command == "metrics")
             allowed.push_back("logical");
     } else if (command == "sweep") {
         allowed.insert(allowed.end(), {"gadget", "channel", "grid",
                                        "trials", "jobs", "seed",
-                                       "profile", "param", "no-batch",
-                                       "no-group", "no-lockstep",
-                                       "verbose", "trace", "progress"});
+                                       "profile", "param", "no-lockstep",
+                                       "trace", "progress"});
     } else if (command == "perf") {
         allowed.insert(allowed.end(), {"quick", "suite", "out",
                                        "baseline", "tolerance", "seed"});
@@ -492,10 +475,7 @@ cmdSweep(const Cli &cli)
     options.jobs = cli.options.jobs;
     options.seed = cli.options.seed;
     options.params = cli.options.params;
-    options.batch = cli.options.batch;
-    options.group = cli.options.group;
     options.lockstep = cli.options.lockstep;
-    options.verbose = cli.options.verbose;
     for (const std::string &arg : cli.grid_args)
         options.grid.push_back(parseSweepAxis(arg));
     if (cli.options.format == Format::Table)

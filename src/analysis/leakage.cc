@@ -54,9 +54,8 @@ foldTrialTrace(const TrialTrace &trace, const MachineConfig &config)
             InterpOptions extra_options;
             extra_options.stepCap = kCoRunnerCap;
             std::vector<InterpResult> extras;
-            for (const TraceOp::Extra &extra : op.run.extras) {
-                extras.push_back(interpretProgram(*extra.decoded, {},
-                                                  memory,
+            for (const auto &extra : op.run.extras) {
+                extras.push_back(interpretProgram(*extra, {}, memory,
                                                   extra_options));
                 builder.addProgram(extras.back(), /*primary=*/false);
             }
@@ -67,8 +66,6 @@ foldTrialTrace(const TrialTrace &trace, const MachineConfig &config)
                     memory[addr] = value;
             break;
           }
-          default:
-            break; // reads and reseeds do not shape the footprint
         }
     }
     return builder.finish();

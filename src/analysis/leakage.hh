@@ -6,9 +6,9 @@
  * program whose microarchitectural behaviour differs between the two
  * secret polarities. This module proves that statically, per gadget,
  * without per-gadget hooks: it records one sample() per polarity
- * through Machine::beginRecord (the same surface BatchRunner replays),
- * harvests the captured op stream — every DecodedProgram with its
- * initial registers, every warm/flush/poke — and hands the programs
+ * through Machine::beginRecord, harvests the captured op stream —
+ * every DecodedProgram with its initial registers, every
+ * warm/flush/poke — and hands the programs
  * to the reference interpreter (interp.hh) and the footprint model
  * (footprint.hh). The polarity diff yields the gadget's leakage class
  * (constant_time / fu_timing / cache_footprint / cache_order /
@@ -17,7 +17,7 @@
  *
  * Cross-validation closes the loop: the same sample() runs for real
  * on a pooled Machine, and the static predictions are checked against
- * the traced observers (Machine::contextStats / cacheMisses) — exact
+ * the machine's observers (Machine::contextStats / cacheMisses) — exact
  * fill/access equality where the model proves exactness, ordering
  * bounds elsewhere, and a polarity-distinguishability check whenever
  * the static verdict says "leaky". The analyzer is thereby

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "exp/batch.hh"
 #include "gadgets/gadget_registry.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -236,8 +235,7 @@ Channel::run(Machine &machine, const std::vector<bool> &payload)
         }
     }
 
-    // Logical channel traffic: the run body executes fully under
-    // every execution tier, so these are --jobs/batching invariant.
+    // Logical channel traffic: the same at any --jobs.
     Metrics &met = metrics();
     met.channelFramesSent.add(
         static_cast<std::uint64_t>(stats.framesSent));
@@ -273,27 +271,6 @@ Channel::measureSymbols(Machine &machine,
     met.channelSymbolErrors.add(
         static_cast<std::uint64_t>(stats.symbolErrors));
     return stats;
-}
-
-std::vector<ChannelStats>
-Channel::runBatched(BatchRunner &batch,
-                    const std::vector<std::vector<bool>> &payloads)
-{
-    std::vector<ChannelStats> results(payloads.size());
-    batch.forEach(payloads.size(),
-                  [&](Machine &machine, std::size_t i) {
-                      results[i] = run(machine, payloads[i]);
-                  });
-    return results;
-}
-
-std::vector<ChannelStats>
-Channel::runBatched(MachinePool &pool,
-                    const std::vector<std::vector<bool>> &payloads)
-{
-    BatchRunner batch(pool,
-                      [this](Machine &machine) { prepare(machine); });
-    return runBatched(batch, payloads);
 }
 
 } // namespace hr

@@ -33,9 +33,6 @@
 namespace hr
 {
 
-class BatchRunner;
-class MachinePool;
-
 /** Full configuration of one channel instance. */
 struct ChannelConfig
 {
@@ -134,27 +131,6 @@ class Channel
      */
     ChannelStats measureSymbols(Machine &machine,
                                 const std::vector<bool> &symbols);
-
-    /**
-     * Transmit each payload as one lockstep-batched trial on a pooled
-     * machine (see exp/batch.hh): prepare() is applied once as the
-     * batch base state, the first payload of each group is simulated
-     * in full, and payloads whose transmissions make identical machine
-     * op sequences are answered from the recorded trace. Results are
-     * byte-identical to preparing a leased machine and calling run()
-     * per payload from the restored base. Repeated payloads (the
-     * symbol-rate measurement loop, BER trials over a fixed pattern)
-     * replay at trace speed; differing payloads diverge at the first
-     * differing symbol and finish scalar.
-     */
-    std::vector<ChannelStats>
-    runBatched(BatchRunner &batch,
-               const std::vector<std::vector<bool>> &payloads);
-
-    /** Convenience: lease from @p pool, prepare, and batch-transmit. */
-    std::vector<ChannelStats>
-    runBatched(MachinePool &pool,
-               const std::vector<std::vector<bool>> &payloads);
 
   private:
     ChannelConfig config_;

@@ -33,21 +33,6 @@ class BranchPredictor
     /** Number of static branches seen. */
     std::size_t tableSize() const { return counters_.size(); }
 
-    /**
-     * Current counter value for a key without training it (kInit for a
-     * branch never seen). Lets the replay machinery prove two program
-     * ids are interchangeable: if every branch pc of a program holds
-     * the same counter under both ids, execution under either id is
-     * bit-identical (keys are injective per (id, pc) for the id ranges
-     * in use, so there is no cross-program aliasing to disturb).
-     */
-    std::uint8_t
-    peek(std::uint64_t key) const
-    {
-        auto it = counters_.find(key);
-        return it == counters_.end() ? kInit : it->second;
-    }
-
     /** Build the lookup key for a branch. */
     static std::uint64_t
     makeKey(std::uint64_t program_id, std::int32_t pc)

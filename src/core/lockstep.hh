@@ -2,7 +2,7 @@
  * @file
  * Lockstep steady-state fast-forward for the out-of-order core.
  *
- * The batched experiment paths spend almost all their cycles inside
+ * The pooled experiment paths spend almost all their cycles inside
  * gadget loops whose pipeline behaviour settles into an exact period:
  * every loop iteration issues the same ops on the same relative cycles,
  * touching the same cache sets, with only a handful of values (the

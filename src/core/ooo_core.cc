@@ -82,6 +82,13 @@ OooCore::contextCounters(ContextId ctx) const
     return ctxs_[ctx].counters;
 }
 
+const std::vector<std::int64_t> &
+OooCore::committedRegs(ContextId ctx) const
+{
+    panicIf(ctx >= ctxs_.size(), "OooCore: context out of range");
+    return ctxs_[ctx].regfile;
+}
+
 OooCore::Snapshot
 OooCore::snapshot() const
 {

@@ -213,6 +213,9 @@ class OooCore
     /** Cumulative counters attributed to one context. */
     const PerfCounters &contextCounters(ContextId ctx) const;
 
+    /** Architectural registers of one context as its last run left them. */
+    const std::vector<std::int64_t> &committedRegs(ContextId ctx) const;
+
     /** Lockstep fast-forward accounting, cumulative across runs. */
     struct LockstepSummary
     {

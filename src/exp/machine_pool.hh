@@ -88,8 +88,7 @@ class MachinePool
      * first machine is built). All machines in a pool run the same
      * configuration, so they share one cache: a program decoded by any
      * lease is a hit for every other, and identical programs rebuilt
-     * per trial alias to one image — which is what lets the lockstep
-     * batch replay compare decoded pointers for exact code equality.
+     * per trial alias to one image.
      */
     std::shared_ptr<DecodeCache> decodeCache() const;
 

@@ -6,7 +6,6 @@
 
 #include "analysis/capacity.hh"
 #include "channel/channel_registry.hh"
-#include "exp/batch.hh"
 #include "exp/machine_pool.hh"
 #include "exp/registry.hh"
 #include "exp/runner.hh"
@@ -176,10 +175,7 @@ runPerfSuites(const PerfOptions &options)
         "host_speed",        "core_throughput",
         "cache_access_rate", "machine_construct",
         "snapshot_restore",  "trial_path_fresh",
-        "trial_path_scalar", "trial_path_restore",
-        "trial_path_speedup", "batch_speedup",
-        "batched_trial_path", "divergent_batch_path",
-        "group_step_rate",   "decode_cache_hit",
+        "trial_path_scalar", "decode_cache_hit",
         "trace_overhead",
         "fig08_quick_wall",  "fig10_quick_wall",
         "channel_symbol_rate", "channel_frame_path",
@@ -286,21 +282,18 @@ runPerfSuites(const PerfOptions &options)
             }));
     }
 
-    // The batch-path tolerance: replay regressions are large and
-    // low-variance, so these suites gate tighter than the global 25%.
-    // Ratio suites are the opposite: they divide two independently
-    // noisy measurements and cannot be host-normalized, so they get
-    // extra slack — wide enough to ride out scheduler noise, still
-    // far tighter than the ~10x collapse a broken replay path causes.
-    constexpr double kBatchTolerance = 0.15;
+    // Hot-path suites with low-variance rates gate tighter than the
+    // global 25%. Ratio suites are the opposite: they divide two
+    // independently noisy measurements and cannot be host-normalized,
+    // so they get extra slack.
+    constexpr double kTightTolerance = 0.15;
     constexpr double kRatioTolerance = 0.40;
 
-    double fresh_rate = 0, restore_rate = 0, scalar_rate = 0;
-    if (wanted("trial_path_fresh") || wanted("trial_path_speedup")) {
+    if (wanted("trial_path_fresh")) {
         note("trial_path_fresh");
         const MachineConfig config =
             machineConfigForProfile("effective_window");
-        PerfSuite suite = measureRate(
+        suites.push_back(measureRate(
             "trial_path_fresh",
             "single-shot racing trials per second, fresh Machine each",
             budget, [&]() {
@@ -309,147 +302,22 @@ runPerfSuites(const PerfOptions &options)
                     racingObservation(machine);
                 }
                 return 4;
-            });
-        fresh_rate = suite.value;
-        if (wanted("trial_path_fresh"))
-            suites.push_back(suite);
+            }));
     }
-    if (wanted("trial_path_scalar") || wanted("batch_speedup")) {
+    if (wanted("trial_path_scalar")) {
         note("trial_path_scalar");
         MachinePool pool(machineConfigForProfile("effective_window"));
-        PerfSuite suite = measureRate(
+        suites.push_back(measureRate(
             "trial_path_scalar",
             "single-shot racing trials per second, pooled "
-            "snapshot/restore (scalar: every trial fully simulated)",
+            "snapshot/restore (every trial fully simulated)",
             budget, [&]() {
                 for (int i = 0; i < 16; ++i) {
                     auto lease = pool.lease();
                     racingObservation(lease.machine());
                 }
                 return 16;
-            });
-        scalar_rate = suite.value;
-        if (wanted("trial_path_scalar"))
-            suites.push_back(suite);
-    }
-    if (wanted("trial_path_restore") || wanted("trial_path_speedup") ||
-        wanted("batch_speedup")) {
-        note("trial_path_restore");
-        MachinePool pool(machineConfigForProfile("effective_window"));
-        BatchRunner batch(pool);
-        PerfSuite suite = measureRate(
-            "trial_path_restore",
-            "single-shot racing trials per second, pooled + lockstep "
-            "batched (width 32; the default trial path)",
-            budget, [&]() {
-                batch.forEach(32, [](Machine &machine, std::size_t) {
-                    racingObservation(machine);
-                });
-                return 32;
-            });
-        suite.tolerance = kBatchTolerance;
-        restore_rate = suite.value;
-        if (wanted("trial_path_restore"))
-            suites.push_back(suite);
-    }
-    if (wanted("trial_path_speedup") && fresh_rate > 0) {
-        PerfSuite suite;
-        suite.name = "trial_path_speedup";
-        suite.metric =
-            "trial_path_restore (batched) over trial_path_fresh";
-        suite.unit = "x";
-        suite.value = restore_rate / fresh_rate;
-        suite.iterations = 1;
-        suite.normalize = false;
-        suite.tolerance = kRatioTolerance;
-        suites.push_back(suite);
-    }
-    if (wanted("batch_speedup") && scalar_rate > 0) {
-        PerfSuite suite;
-        suite.name = "batch_speedup";
-        suite.metric =
-            "trial_path_restore (batched) over trial_path_scalar";
-        suite.unit = "x";
-        suite.value = restore_rate / scalar_rate;
-        suite.iterations = 1;
-        suite.normalize = false;
-        suite.tolerance = kRatioTolerance;
-        suites.push_back(suite);
-    }
-
-    if (wanted("batched_trial_path")) {
-        note("batched_trial_path");
-        MachinePool pool(machineConfigForProfile("effective_window"));
-        BatchRunner::Options options;
-        options.width = 64;
-        BatchRunner batch(pool, {}, options);
-        PerfSuite suite = measureRate(
-            "batched_trial_path",
-            "single-shot racing trials per second, lockstep batched "
-            "at width 64",
-            budget, [&]() {
-                batch.forEach(64, [](Machine &machine, std::size_t) {
-                    racingObservation(machine);
-                });
-                return 64;
-            });
-        suite.tolerance = kBatchTolerance;
-        suites.push_back(suite);
-    }
-
-    if (wanted("divergent_batch_path")) {
-        note("divergent_batch_path");
-        // Every trial reseeds with a lane-distinct mix, so verbatim
-        // replay is impossible (the old middle tier peeled every
-        // follower to scalar here). The trace draws zero noise-stream
-        // samples on this profile, so the group tier's substituted
-        // replay keeps followers on the replay fast path anyway.
-        MachinePool pool(machineConfigForProfile("effective_window"));
-        BatchRunner batch(pool);
-        std::uint64_t mix = 0;
-        PerfSuite suite = measureRate(
-            "divergent_batch_path",
-            "racing trials per second with per-trial reseeds "
-            "(width 32; dead reseeds substituted in group replay)",
-            budget, [&]() {
-                batch.forEach(32, [&](Machine &machine, std::size_t i) {
-                    machine.reseedNoise(mix + i);
-                    racingObservation(machine);
-                });
-                mix += 32;
-                return 32;
-            });
-        suite.tolerance = kBatchTolerance;
-        suite.batching = batch.stats().summary();
-        suites.push_back(suite);
-    }
-
-    if (wanted("group_step_rate")) {
-        note("group_step_rate");
-        // Noisy profile + per-trial reseeds: the trace both draws
-        // randomness and reseeds, so substitution is unsound and
-        // verbatim replay diverges at the first mix. Guided group
-        // stepping executes every lane for real against the leader's
-        // op skeleton instead of falling all the way back to scalar
-        // snapshot/restore per trial.
-        MachinePool pool(machineConfigForProfile("noisy"));
-        BatchRunner batch(pool);
-        std::uint64_t mix = 1;
-        PerfSuite suite = measureRate(
-            "group_step_rate",
-            "racing trials per second on the noisy profile with "
-            "per-trial reseeds (width 32; guided group stepping)",
-            budget, [&]() {
-                batch.forEach(32, [&](Machine &machine, std::size_t i) {
-                    machine.reseedNoise(mix + i);
-                    racingObservation(machine);
-                });
-                mix += 32;
-                return 32;
-            });
-        suite.tolerance = kBatchTolerance;
-        suite.batching = batch.stats().summary();
-        suites.push_back(suite);
+            }));
     }
 
     if (wanted("decode_cache_hit")) {
@@ -466,26 +334,25 @@ runPerfSuites(const PerfOptions &options)
                     machine.decodeProgram(prog);
                 return 5'000;
             });
-        suite.tolerance = kBatchTolerance;
+        suite.tolerance = kTightTolerance;
         suites.push_back(suite);
     }
 
     if (wanted("trace_overhead")) {
         note("trace_overhead");
-        // Flight-recorder cost on the default batched trial path:
-        // the traced rate over the untraced rate (~1.0x). The
-        // disabled-mode cost itself needs no suite of its own —
-        // instrumentation is always compiled in, so any disabled-path
-        // regression already trips trial_path_restore's 15% gate.
+        // Flight-recorder cost on the pooled trial path: the traced
+        // rate over the untraced rate (~1.0x). The disabled-mode cost
+        // itself needs no suite of its own — instrumentation is always
+        // compiled in, so any disabled-path regression already shows
+        // in trial_path_scalar.
         MachinePool pool(machineConfigForProfile("effective_window"));
-        BatchRunner batch(pool);
         auto trial_rate = [&]() {
             return measureRate("trace_overhead", "", budget, [&]() {
-                       batch.forEach(
-                           32, [](Machine &machine, std::size_t) {
-                               racingObservation(machine);
-                           });
-                       return 32;
+                       for (int i = 0; i < 16; ++i) {
+                           auto lease = pool.lease();
+                           racingObservation(lease.machine());
+                       }
+                       return 16;
                    })
                 .value;
         };
@@ -497,7 +364,7 @@ runPerfSuites(const PerfOptions &options)
         PerfSuite suite;
         suite.name = "trace_overhead";
         suite.metric =
-            "batched racing-trial rate with the flight recorder "
+            "pooled racing-trial rate with the flight recorder "
             "enabled over the rate with it disabled";
         suite.unit = "x";
         suite.value = off_rate > 0 ? on_rate / off_rate : 1.0;
@@ -522,7 +389,6 @@ runPerfSuites(const PerfOptions &options)
 
     if (wanted("channel_symbol_rate")) {
         note("channel_symbol_rate");
-        MachinePool pool(machineConfigForProfile("default"));
         ParamSet overrides;
         overrides.set("ecc", "none");
         overrides.set("frame_bits", "8");
@@ -531,28 +397,27 @@ runPerfSuites(const PerfOptions &options)
         std::vector<bool> payload;
         for (int i = 0; i < 8; ++i)
             payload.push_back(i % 2 == 0);
-        // The default channel path: lockstep batching over a pooled
-        // machine, prepare() folded into the batch base state. One
-        // group of identical payloads per measurement batch — the
-        // leader simulates, the rest replay.
-        BatchRunner batch(pool, [&](Machine &machine) {
-            channel.prepare(machine);
-        });
-        const std::vector<std::vector<bool>> payloads(32, payload);
+        // The pooled channel path: prepare() is folded into the pool's
+        // warmed base, so each transmission is lease (restore) + run.
+        MachinePool pool(machineConfigForProfile("default"),
+                         [&](Machine &machine) {
+                             channel.prepare(machine);
+                         });
         PerfSuite suite = measureRate(
             "channel_symbol_rate",
             "covert-channel symbols per second (ook_arith, uncoded "
-            "8-bit frames, lockstep batched width 32)",
+            "8-bit frames, pooled lease + run)",
             budget, [&]() {
                 long long symbols = 0;
-                for (const ChannelStats &stats :
-                     channel.runBatched(batch, payloads)) {
-                    symbols +=
-                        static_cast<long long>(stats.symbolsSent);
+                for (int i = 0; i < 32; ++i) {
+                    auto lease = pool.lease();
+                    symbols += static_cast<long long>(
+                        channel.run(lease.machine(), payload)
+                            .symbolsSent);
                 }
                 return symbols;
             });
-        suite.tolerance = kBatchTolerance;
+        suite.tolerance = kTightTolerance;
         suites.push_back(suite);
     }
 
@@ -640,8 +505,6 @@ renderPerfJson(const std::vector<PerfSuite> &suites, bool quick)
                (suite.normalize ? "true" : "false");
         if (suite.tolerance > 0)
             out += ", \"tolerance\": " + jsonNum(suite.tolerance);
-        if (!suite.batching.empty())
-            out += ", \"batching\": \"" + suite.batching + "\"";
         out += "}";
         out += i + 1 < suites.size() ? ",\n" : "\n";
     }

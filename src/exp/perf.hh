@@ -40,21 +40,11 @@ struct PerfSuite
 
     /**
      * Per-suite regression tolerance (fraction) overriding the global
-     * --tolerance when > 0. The batch suites gate tighter than the
-     * default 25%: a lockstep-replay regression shows up as a large,
-     * low-variance rate drop, so a loose global tolerance would let
-     * most of the win erode silently.
+     * --tolerance when > 0. Low-variance hot-path suites gate tighter
+     * than the default 25%, so a real regression cannot erode them
+     * silently; ratio suites get more slack.
      */
     double tolerance = 0;
-
-    /**
-     * Batching-tier breakdown (BatchRunner::Stats::summary()) for the
-     * suites that exercise the batch path; empty elsewhere. Recorded
-     * in BENCH_hr_perf.json so a routing regression (e.g. group-
-     * stepped trials silently falling back to scalar) is visible in
-     * the committed trajectory even when the rate still passes.
-     */
-    std::string batching;
 };
 
 /** Knobs for one perf run. */

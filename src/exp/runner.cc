@@ -33,7 +33,6 @@ ExperimentRunner::run(Scenario &scenario)
 
     ScenarioContext ctx(trials, options_.jobs, options_.seed, profile,
                         options_.params, options_.progress,
-                        options_.batch, options_.group,
                         options_.lockstep);
 
     Metrics &met = metrics();
@@ -41,18 +40,6 @@ ExperimentRunner::run(Scenario &scenario)
     met.runnerTrialsRequested.add(static_cast<std::uint64_t>(trials));
     met.runnerJobsConfigured.set(
         static_cast<std::uint64_t>(options_.jobs));
-
-    // The verbose "batching" summary is the delta of the batch.*
-    // registry counters over this run, so it covers every BatchRunner
-    // — including Channel::runBatched's private one, whose Stats
-    // object the channel scenarios drop.
-    BatchRunner::Stats tiers0;
-    tiers0.trials = met.batchTrials.value();
-    tiers0.leaders = met.batchLeaders.value();
-    tiers0.replayed = met.batchFollowersReplayed.value();
-    tiers0.groupStepped = met.batchFollowersStepped.value();
-    tiers0.diverged = met.batchFollowersPeeled.value();
-    tiers0.scalar = met.batchFollowersScalar.value();
 
     ProgressSink &sink = ProgressSink::instance();
     sink.beginTask(scenario.name().c_str(),
@@ -75,20 +62,6 @@ ExperimentRunner::run(Scenario &scenario)
     result.addMeta("profile", profile);
     result.addMeta("trials", std::to_string(trials));
     result.addMeta("seed", std::to_string(options_.seed));
-    if (options_.verbose) {
-        BatchRunner::Stats tiers;
-        tiers.trials = met.batchTrials.value() - tiers0.trials;
-        tiers.leaders = met.batchLeaders.value() - tiers0.leaders;
-        tiers.replayed =
-            met.batchFollowersReplayed.value() - tiers0.replayed;
-        tiers.groupStepped =
-            met.batchFollowersStepped.value() - tiers0.groupStepped;
-        tiers.diverged =
-            met.batchFollowersPeeled.value() - tiers0.diverged;
-        tiers.scalar =
-            met.batchFollowersScalar.value() - tiers0.scalar;
-        result.addMeta("batching", tiers.summary());
-    }
     return result;
 }
 

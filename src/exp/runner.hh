@@ -35,33 +35,11 @@ struct RunOptions
     ParamSet params;     ///< --param key=value overrides
 
     /**
-     * Allow scenarios to lockstep-batch pooled trials at --jobs 1
-     * (ScenarioContext::poolMap); results are byte-identical either
-     * way. --no-batch clears it.
-     */
-    bool batch = true;
-
-    /**
-     * Route batched followers through the group-stepped tier
-     * (sim/machine_group.hh); byte-identical either way. --no-group
-     * clears it (leaving the strict replay-or-scalar ladder).
-     */
-    bool group = true;
-
-    /**
      * Periodic-loop forwarding engine inside the core
      * (CoreConfig::lockstep); byte-identical either way.
      * --no-lockstep clears it.
      */
     bool lockstep = true;
-
-    /**
-     * Stamp execution diagnostics — currently the `batching` tier
-     * breakdown — into the result's metadata (--verbose). Off by
-     * default so rendered output stays byte-identical across batching
-     * configurations.
-     */
-    bool verbose = false;
 
     /** Progress sink (defaults to stderr in table mode only). */
     std::function<void(const std::string &)> progress;

@@ -15,9 +15,9 @@ namespace hr
 ScenarioContext::ScenarioContext(
     int trials, int jobs, std::uint64_t base_seed, std::string profile_name,
     ParamSet params, std::function<void(const std::string &)> progress,
-    bool batch, bool group, bool lockstep)
-    : trials_(trials), jobs_(jobs), batch_(batch), group_(group),
-      lockstep_(lockstep), baseSeed_(base_seed),
+    bool lockstep)
+    : trials_(trials), jobs_(jobs), lockstep_(lockstep),
+      baseSeed_(base_seed),
       profileName_(std::move(profile_name)), params_(std::move(params)),
       progress_(std::move(progress))
 {
@@ -53,13 +53,9 @@ ScenarioContext::reseedMachine(Machine &machine,
                                const MachineConfig &base,
                                std::uint64_t mix)
 {
-    // Routed through the traced harness op, not raw
-    // hierarchy().reseed(): the lockstep batched trial path must see
-    // per-point reseeds so a follower with a different mix diverges
-    // instead of silently replaying another point's results. The
-    // machine's own configuration supplies the base seeds, so @p base
-    // must agree with it (it always has: pools are built from the
-    // config passed here).
+    // The machine's own configuration supplies the base seeds, so
+    // @p base must agree with it (it always has: pools are built from
+    // the config passed here).
     const HierarchyConfig &own = machine.config().memory;
     fatalIf(base.memory.rngSeed != own.rngSeed ||
                 base.memory.l1.rngSeed != own.l1.rngSeed ||

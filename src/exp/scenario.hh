@@ -19,7 +19,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "exp/batch.hh"
 #include "exp/machine_pool.hh"
 #include "exp/result.hh"
 #include "obs/progress.hh"
@@ -46,7 +45,6 @@ class ScenarioContext
     ScenarioContext(int trials, int jobs, std::uint64_t base_seed,
                     std::string profile_name, ParamSet params,
                     std::function<void(const std::string &)> progress,
-                    bool batch = true, bool group = true,
                     bool lockstep = true);
 
     /** Requested trial/sample count (scenario default or --trials). */
@@ -123,73 +121,23 @@ class ScenarioContext
         return parallelMap(trials_, std::forward<Fn>(fn));
     }
 
-    /** Lockstep batching enabled (--no-batch turns it off). */
-    bool batch() const { return batch_; }
-
-    /** Group-stepped batching tier enabled (--no-group opts out). */
-    bool group() const { return group_; }
-
     /** Periodic-loop forwarding engine enabled (--no-lockstep). */
     bool lockstep() const { return lockstep_; }
 
     /**
-     * Accumulated BatchRunner statistics of every poolMap that took
-     * the batched path in this context (the `batching` column of
-     * `hr_bench run --verbose` and the perf JSON).
-     */
-    const BatchRunner::Stats &batchStats() const { return batchStats_; }
-
-    /**
      * parallelMap over indices that each need a pooled machine in the
      * warmed base state: fn(index, rng, machine) with the machine
-     * restored to the pool's base per index.
-     *
-     * Single-worker runs drive the indices through a BatchRunner in
-     * SPMD lockstep instead of leasing per index — indices whose
-     * machine-op streams repeat replay from the leader's trace, and
-     * divergent ones (e.g. a per-index reseedNoise) fall back to
-     * scalar execution transparently. Results are byte-identical to
-     * the lease-per-index path at any --jobs value, which is what the
-     * CI jobs-1-vs-jobs-4 sweep diff pins down.
+     * leased from @p pool (and so restored to its base) per index.
      */
     template <typename Fn>
     auto
     poolMap(MachinePool &pool, int count, Fn &&fn) const
-    {
-        return poolMap(pool, count, BatchRunner::Options(),
-                       std::forward<Fn>(fn));
-    }
-
-    /**
-     * poolMap with explicit batching options — the sweep engine sizes
-     * lockstep groups to its grid rows this way (one leader per row,
-     * the row's other points as lanes). Options::group is further
-     * gated on the context's own group() flag so --no-group reaches
-     * every caller.
-     */
-    template <typename Fn>
-    auto
-    poolMap(MachinePool &pool, int count, BatchRunner::Options options,
-            Fn &&fn) const
     {
         using T = std::invoke_result_t<Fn &, int, Rng &, Machine &>;
         static_assert(!std::is_same_v<T, bool>,
                       "poolMap body must not return bool");
         std::vector<T> out(
             static_cast<std::size_t>(count > 0 ? count : 0));
-        if (batch_ && jobs_ <= 1) {
-            options.group = options.group && group_;
-            BatchRunner runner(pool, {}, options);
-            runner.forEach(
-                out.size(), [&](Machine &machine, std::size_t i) {
-                    const int index = static_cast<int>(i);
-                    Rng rng(indexSeed(index));
-                    out[i] = fn(index, rng, machine);
-                    progressAdvance();
-                });
-            batchStats_.add(runner.stats());
-            return out;
-        }
         forEachIndex(count, [&](int index) {
             Rng rng(indexSeed(index));
             auto lease = pool.lease();
@@ -202,14 +150,11 @@ class ScenarioContext
   private:
     int trials_;
     int jobs_;
-    bool batch_;
-    bool group_;
     bool lockstep_;
     std::uint64_t baseSeed_;
     std::string profileName_;
     ParamSet params_;
     std::function<void(const std::string &)> progress_;
-    mutable BatchRunner::Stats batchStats_;
 
     /** Blocking index-parallel dispatch (exceptions propagate). */
     void forEachIndex(int count, const IndexBody &body) const;

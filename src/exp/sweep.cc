@@ -148,10 +148,6 @@ gridKeySet(const std::vector<SweepAxis> &axes)
  * axis-value vector are invariant per row, and rebuilding both per
  * point was pure per-point overhead. A point only needs its row's
  * copies plus one set() of the last axis key.
- *
- * Rows are also the sweep's lockstep unit: poolMap sizes batching
- * groups to lastN, so each row gets one recorded leader and steps its
- * remaining points as group lanes (see sim/machine_group.hh).
  */
 struct SweepRows
 {
@@ -202,16 +198,6 @@ hoistSweepRows(const Grid &grid, const std::vector<SweepAxis> &axes,
         rows.axisValues.push_back(std::move(values));
     }
     return rows;
-}
-
-/** Batching options sizing lockstep groups to grid rows. */
-BatchRunner::Options
-rowBatchOptions(const SweepOptions &options, const SweepRows &rows)
-{
-    BatchRunner::Options batch;
-    batch.width = rows.lastN > 0 ? rows.lastN : 1;
-    batch.group = options.group;
-    return batch;
 }
 
 } // namespace
@@ -273,20 +259,13 @@ runSweep(const SweepOptions &options)
 
     ScenarioContext ctx(options.trials, options.jobs, options.seed,
                         options.profile, options.params,
-                        options.progress, options.batch, options.group,
-                        options.lockstep);
+                        options.progress, options.lockstep);
 
     // Grid points differ only in their RNG streams, so instead of
     // reconstructing a Machine per point (thousands of per-set
     // replacement allocations), each point runs on a pooled machine
     // restored to the pristine base state and re-seeds the noise
     // streams — bit-identical to a fresh build with the same seeds.
-    // At --jobs 1 the points go through the lockstep batched path
-    // (see ScenarioContext::poolMap) in groups sized to grid rows:
-    // the row's first point leads, the rest step as group lanes, with
-    // the per-point reseed substituted on deterministic profiles and
-    // truly divergent points peeling to scalar — output is always
-    // byte-identical to the lease-per-index path.
     const MachineConfig base_config = ctx.machineConfig();
     MachinePool machine_pool(base_config);
     const SweepRows sweep_rows =
@@ -297,8 +276,7 @@ runSweep(const SweepOptions &options)
                    static_cast<std::uint64_t>(points), options.jobs);
 
     const std::vector<SweepRow> rows = ctx.poolMap(
-        machine_pool, points, rowBatchOptions(options, sweep_rows),
-        [&](int index, Rng &, Machine &machine) {
+        machine_pool, points, [&](int index, Rng &, Machine &machine) {
             HR_TRACE_SCOPE("sweep", "sweep.point");
             SweepRow row;
             ParamSet params;
@@ -372,8 +350,6 @@ runSweep(const SweepOptions &options)
     result.addMeta("seed", std::to_string(options.seed));
     if (!grid_spec.empty())
         result.addMeta("grid", grid_spec);
-    if (options.verbose)
-        result.addMeta("batching", ctx.batchStats().summary());
     result.addTable("", std::move(table));
     // A sweep where no point ran is a failure (exit nonzero in the
     // driver), not a quietly empty success.
@@ -427,8 +403,7 @@ runChannelSweep(const SweepOptions &options)
 
     ScenarioContext ctx(options.trials, options.jobs, options.seed,
                         options.profile, options.params,
-                        options.progress, options.batch, options.group,
-                        options.lockstep);
+                        options.progress, options.lockstep);
 
     const MachineConfig base_config = ctx.machineConfig();
     MachinePool machine_pool(base_config);
@@ -441,9 +416,7 @@ runChannelSweep(const SweepOptions &options)
                    options.jobs);
 
     const std::vector<ChannelSweepRow> rows = ctx.poolMap(
-        machine_pool, grid.points,
-        rowBatchOptions(options, sweep_rows),
-        [&](int index, Rng &rng, Machine &machine) {
+        machine_pool, grid.points, [&](int index, Rng &rng, Machine &machine) {
             HR_TRACE_SCOPE("sweep", "sweep.point");
             ChannelSweepRow row;
             ParamSet params;
@@ -522,8 +495,6 @@ runChannelSweep(const SweepOptions &options)
     const std::string grid_spec = grid.spec();
     if (!grid_spec.empty())
         result.addMeta("grid", grid_spec);
-    if (options.verbose)
-        result.addMeta("batching", ctx.batchStats().summary());
     result.addTable("", std::move(table));
     bool any_ok = false;
     std::uint64_t failed = 0;

@@ -55,27 +55,10 @@ struct SweepOptions
     std::vector<SweepAxis> grid;   ///< cartesian axes (may be empty)
 
     /**
-     * Lockstep-batch grid points at --jobs 1 (see exp/batch.hh);
-     * output is byte-identical either way. --no-batch clears it.
-     */
-    bool batch = true;
-
-    /**
-     * Group-stepped batching tier (sim/machine_group.hh): lockstep
-     * groups are sized to grid rows (one leader per row, the row's
-     * remaining points as lanes). Output is byte-identical either
-     * way. --no-group clears it.
-     */
-    bool group = true;
-
-    /**
      * Periodic-loop forwarding engine in the simulated core; output is
      * byte-identical either way. --no-lockstep clears it.
      */
     bool lockstep = true;
-
-    /** Stamp the batching-tier breakdown into result metadata. */
-    bool verbose = false;
 
     /** Progress sink (stderr in table mode; never stdout). */
     std::function<void(const std::string &)> progress;

@@ -15,15 +15,12 @@
  * determinism classes exist, flagged per entry:
  *
  *  - **logical** metrics count logical operations of the workload
- *    (public Machine runs, channel frames, runner trials). They are
- *    byte-identical for a fixed seed at any `--jobs` and any batching
- *    flags, because every execution tier performs the same logical
- *    ops.
+ *    (channel frames, runner trials). They are byte-identical for a
+ *    fixed seed at any `--jobs`.
  *  - **runtime** metrics describe how the runtime chose to execute
- *    (batch tiers, pool reuse, decode-cache hits, lockstep forwards).
- *    They are deterministic for a fixed (seed, jobs, flags) tuple but
- *    legitimately differ across tiers — same contract as the
- *    `--verbose` batching summary.
+ *    (pool reuse, decode-cache hits, lockstep forwards). They are
+ *    deterministic for a fixed (seed, jobs, flags) tuple but
+ *    legitimately differ across worker counts.
  *
  * snapshot() returns name-sorted rows; resetAll() zeroes every value
  * (tests and per-run deltas).
@@ -233,40 +230,21 @@ class Metrics
     std::vector<obs_detail::MetricEntry> entries_;
 
   public:
-    // ---- machine: ops at the public Machine boundary. Counted once
-    // per op under every execution tier, but machines built for pool
-    // warmup and channel calibration also run ops, and the number of
-    // machines built scales with --jobs — so these are runtime-class.
+    // ---- machine: ops at the public Machine boundary. Machines built
+    // for pool warmup and channel calibration also run ops, and the
+    // number of machines built scales with --jobs — so these are
+    // runtime-class.
     MetricCounter machineRuns{*this, "machine.runs_total", false};
     MetricHistogram machineRunInstrs{*this, "machine.run_instrs", false};
     MetricCounter machineReseeds{*this, "machine.reseeds_total", false};
 
-    // ---- machine: record/replay runtime tier activity -------------
-    MetricCounter machineRecords{*this, "machine.records_total", false};
-    MetricCounter machineRecordRngDraws{*this, "machine.record_rng_draws",
-                                  false};
-    MetricCounter machineReplaysClean{*this, "machine.replays_clean", false};
-    MetricCounter machineReplaysDiverged{*this, "machine.replays_diverged",
-                                   false};
-
-    // ---- batch: BatchRunner tier decisions ------------------------
+    // ---- batch: retired trial batching, always 0. perfbench/run.py
+    // --trace 1 reads these three names.
     MetricCounter batchTrials{*this, "batch.trials_total", false};
-    MetricCounter batchLeaders{*this, "batch.leaders_total", false};
     MetricCounter batchFollowersReplayed{*this, "batch.followers_replayed",
                                    false};
     MetricCounter batchFollowersStepped{*this, "batch.followers_stepped",
                                   false};
-    MetricCounter batchFollowersPeeled{*this, "batch.followers_peeled",
-                                 false};
-    MetricCounter batchFollowersScalar{*this, "batch.followers_scalar",
-                                 false};
-
-    // ---- group: MachineGroup lane outcomes ------------------------
-    MetricCounter groupLanesReplayed{*this, "group.lanes_replayed", false};
-    MetricCounter groupLanesStepped{*this, "group.lanes_stepped", false};
-    MetricCounter groupLanesPeeled{*this, "group.lanes_peeled", false};
-    MetricCounter groupReseedsSubstituted{*this, "group.reseeds_substituted",
-                                    false};
 
     // ---- decode: shared DecodeCache -------------------------------
     MetricCounter decodeHits{*this, "decode.hits_total", false};

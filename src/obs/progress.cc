@@ -47,24 +47,6 @@ ProgressSink::writeLine(const std::string &line)
     std::fflush(out_);
 }
 
-std::string
-ProgressSink::tierFields() const
-{
-    // Caller holds mutex_. Tier mix is the delta of the batch
-    // follower metrics since beginTask.
-    const Metrics &m = metrics();
-    return "\"replayed\": " +
-           std::to_string(m.batchFollowersReplayed.value() -
-                          baseReplayed_) +
-           ", \"stepped\": " +
-           std::to_string(m.batchFollowersStepped.value() -
-                          baseStepped_) +
-           ", \"peeled\": " +
-           std::to_string(m.batchFollowersPeeled.value() - basePeeled_) +
-           ", \"scalar\": " +
-           std::to_string(m.batchFollowersScalar.value() - baseScalar_);
-}
-
 void
 ProgressSink::beginTask(const char *name, std::uint64_t total, int jobs)
 {
@@ -75,11 +57,6 @@ ProgressSink::beginTask(const char *name, std::uint64_t total, int jobs)
     total_ = total;
     done_.store(0, std::memory_order_relaxed);
     lastMilestone_ = 0;
-    const Metrics &m = metrics();
-    baseReplayed_ = m.batchFollowersReplayed.value();
-    baseStepped_ = m.batchFollowersStepped.value();
-    basePeeled_ = m.batchFollowersPeeled.value();
-    baseScalar_ = m.batchFollowersScalar.value();
     taskStart_ = std::chrono::steady_clock::now();
     writeLine("{\"type\": \"task_start\", \"task\": \"" + task_ +
               "\", \"total\": " + std::to_string(total_) +
@@ -123,8 +100,8 @@ ProgressSink::advance(std::uint64_t n)
                   "\"rate_per_s\": %.1f, \"eta_s\": %.2f", rate, eta);
     writeLine("{\"type\": \"heartbeat\", \"task\": \"" + task_ +
               "\", \"done\": " + std::to_string(doneAtMilestone) +
-              ", \"total\": " + std::to_string(total_) + ", " +
-              tierFields() + ", " + wall + "}");
+              ", \"total\": " + std::to_string(total_) + ", " + wall +
+              "}");
     metrics().progressHeartbeats.add();
 }
 
@@ -143,8 +120,8 @@ ProgressSink::endTask()
     char wall[48];
     std::snprintf(wall, sizeof(wall), "\"wall_s\": %.3f", elapsed);
     writeLine("{\"type\": \"task_end\", \"task\": \"" + task_ +
-              "\", \"total\": " + std::to_string(total_) + ", " +
-              tierFields() + ", " + wall + "}");
+              "\", \"total\": " + std::to_string(total_) + ", " + wall +
+              "}");
     task_.clear();
     total_ = 0;
     lastMilestone_ = 0;

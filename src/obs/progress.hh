@@ -13,8 +13,7 @@
  * the milestone (not the racy live counter). That makes the number,
  * order, and deterministic fields of the records reproducible at any
  * `--jobs`; only the wall-clock fields (`rate_per_s`, `eta_s`,
- * `wall_s`) vary run to run. Tier-mix fields are deltas of the
- * batch.followers_* metrics since the task began.
+ * `wall_s`) vary run to run.
  */
 
 #ifndef HR_OBS_PROGRESS_HH
@@ -62,7 +61,6 @@ class ProgressSink
     ProgressSink() = default;
 
     void writeLine(const std::string &line);
-    std::string tierFields() const;
 
     std::atomic<bool> active_{false};
     std::atomic<std::uint64_t> done_{0};
@@ -73,10 +71,6 @@ class ProgressSink
     std::string task_;
     std::uint64_t total_ = 0;
     std::uint64_t lastMilestone_ = 0;
-    std::uint64_t baseReplayed_ = 0;
-    std::uint64_t baseStepped_ = 0;
-    std::uint64_t basePeeled_ = 0;
-    std::uint64_t baseScalar_ = 0;
     std::chrono::steady_clock::time_point taskStart_;
 };
 

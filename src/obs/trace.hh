@@ -21,10 +21,10 @@
  * Event names and categories MUST be string literals (or otherwise
  * outlive the recorder) — the rings store the pointers.
  *
- * Instrumentation contract: never call traced Machine operations
- * (now(), peek(), contextStats(), ...) from instrumentation code —
- * they append TraceOps to recordings and break replay byte-identity.
- * Read raw internal state (RunResult fields, stats members) instead.
+ * Instrumentation contract: never call Machine operations from
+ * instrumentation code — a run() or poke() would change simulated
+ * state and append ops to an analyzer recording. Read raw internal
+ * state (RunResult fields, stats members) instead.
  */
 
 #ifndef HR_OBS_TRACE_HH

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <limits>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -21,13 +20,7 @@ nextMachineSerial()
     return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
-/**
- * Logical-run bookkeeping at the public run/coRun boundary: every
- * execution tier (real, replayed, guided) funnels through here exactly
- * once per logical run, so these metrics are --jobs/tier invariant.
- * Reads only raw RunResult fields — never traced Machine ops, which
- * would append TraceOps to recordings and break replay byte-identity.
- */
+/** Run bookkeeping at the public run/coRun boundary. */
 void
 noteMachineRun(ContextId ctx, const RunResult &result)
 {
@@ -215,10 +208,6 @@ Machine::toNs(Cycle cycles) const
 Machine::Snapshot
 Machine::snapshot()
 {
-    if (replayTrace_)
-        divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     Snapshot snap;
@@ -232,10 +221,6 @@ Machine::snapshot()
 void
 Machine::restore(const Snapshot &snap)
 {
-    if (replayTrace_)
-        divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     hierarchy_.restore(snap.hierarchy);
@@ -277,27 +262,14 @@ Machine::run(ContextId ctx, Program &program,
 {
     fatalIf(ctx >= static_cast<ContextId>(config_.contexts),
             "Machine::run: context out of range");
-    if (replayTrace_) {
-        const RunResult result =
-            replayRun(ctx, program, nullptr, initial_regs, max_cycles);
-        noteMachineRun(ctx, result);
-        return result;
-    }
-
     auto decoded = decodeCache_->acquire(program);
-    if (guidedTrace_)
-        guidedObserveRun(ctx, decoded.get(), initial_regs, max_cycles,
-                         nullptr);
     RunResult result =
         realRun(ctx, *decoded, program.id, initial_regs, max_cycles);
     if (recording_) {
         TraceOp op;
         op.kind = TraceOp::Kind::Run;
-        op.run.ctx = ctx;
         op.run.decoded = std::move(decoded);
-        op.run.programId = program.id;
         op.run.initialRegs = initial_regs;
-        op.run.maxCycles = max_cycles;
         op.result = result;
         recording_->ops.push_back(std::move(op));
     }
@@ -344,77 +316,43 @@ Machine::realRun(ContextId ctx, const DecodedProgram &decoded,
 
 RunResult
 Machine::coRun(ContextId ctx, Program &program,
-               std::vector<std::pair<ContextId, Program *>> extras,
+               const std::vector<std::pair<ContextId, Program *>> &extras,
                const std::vector<std::pair<RegId, std::int64_t>>
                    &initial_regs,
                Cycle max_cycles)
 {
     fatalIf(ctx >= static_cast<ContextId>(config_.contexts),
             "Machine::run: context out of range");
-    if (replayTrace_) {
-        const RunResult result =
-            replayRun(ctx, program, &extras, initial_regs, max_cycles);
-        noteMachineRun(ctx, result);
-        return result;
-    }
-
     TraceOp::RunSpec spec;
-    spec.ctx = ctx;
     spec.decoded = decodeCache_->acquire(program);
-    spec.programId = program.id;
     spec.initialRegs = initial_regs;
-    spec.maxCycles = max_cycles;
-    for (auto &[extra_ctx, extra_prog] : extras) {
+
+    ContextProgram primary;
+    primary.ctx = ctx;
+    primary.decoded = spec.decoded.get();
+    primary.programId = program.id;
+    primary.initialRegs = initial_regs;
+
+    std::vector<ContextProgram> others;
+    for (const auto &[extra_ctx, extra_prog] : extras) {
         fatalIf(extra_ctx >= static_cast<ContextId>(config_.contexts),
                 "Machine::coRun: co-runner context out of range");
         fatalIf(extra_ctx == ctx,
                 "Machine::coRun: co-runner on the primary context");
-        for (const TraceOp::Extra &other : spec.extras)
+        for (const ContextProgram &other : others)
             fatalIf(other.ctx == extra_ctx,
                     "Machine::coRun: two co-runners on one context");
-        TraceOp::Extra extra;
-        extra.ctx = extra_ctx;
-        extra.decoded = decodeCache_->acquire(*extra_prog);
-        extra.programId = extra_prog->id;
-        spec.extras.push_back(std::move(extra));
-    }
-
-    if (guidedTrace_)
-        guidedObserveRun(spec.ctx, spec.decoded.get(), spec.initialRegs,
-                         spec.maxCycles, &spec.extras);
-    RunResult result = realCoRun(spec);
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::Run;
-        op.run = std::move(spec);
-        op.result = result;
-        recording_->ops.push_back(std::move(op));
-    }
-    noteMachineRun(ctx, result);
-    return result;
-}
-
-RunResult
-Machine::realCoRun(const TraceOp::RunSpec &spec)
-{
-    ContextProgram primary;
-    primary.ctx = spec.ctx;
-    primary.decoded = spec.decoded.get();
-    primary.programId = spec.programId;
-    primary.initialRegs = spec.initialRegs;
-
-    std::vector<ContextProgram> others;
-    for (const TraceOp::Extra &extra : spec.extras) {
+        spec.extras.push_back(decodeCache_->acquire(*extra_prog));
         ContextProgram cp;
-        cp.ctx = extra.ctx;
-        cp.decoded = extra.decoded.get();
-        cp.programId = extra.programId;
+        cp.ctx = extra_ctx;
+        cp.decoded = spec.extras.back().get();
+        cp.programId = extra_prog->id;
         others.push_back(std::move(cp));
     }
     // Registered backgrounds fill in every context no explicit
     // co-runner claimed; each run restarts them from the top.
     for (auto &[bg_ctx, bg] : backgrounds_) {
-        if (bg_ctx == spec.ctx)
+        if (bg_ctx == ctx)
             continue;
         bool taken = false;
         for (const ContextProgram &other : others)
@@ -427,104 +365,17 @@ Machine::realCoRun(const TraceOp::RunSpec &spec)
         cp.programId = bg.program.id;
         others.push_back(std::move(cp));
     }
-    return core_->coRun(primary, others, spec.maxCycles);
-}
 
-RunResult
-Machine::replayRun(ContextId ctx, Program &program,
-                   std::vector<std::pair<ContextId, Program *>> *extras,
-                   const std::vector<std::pair<RegId, std::int64_t>>
-                       &initial_regs,
-                   Cycle max_cycles)
-{
-    const TraceOp *op = replayExpect(TraceOp::Kind::Run);
-    bool match = op != nullptr;
-
-    // Match one trial program against its recorded counterpart, and on
-    // success REBIND it to the recorded id so a later divergence
-    // replays the prefix consistently.
-    //
-    // A program already carrying an id resolves through the cache (the
-    // shared cache content-aliases identical programs to one image, so
-    // pointer equality is exact content equality). A program built
-    // fresh this trial (id 0 — the common rebuild-per-trial gadget
-    // pattern) is compared against the recorded image directly, with
-    // no cache traffic at all: acquiring it would allocate an id and
-    // insert an alias entry per follower trial, growing the cache
-    // without bound for entries that are immediately superseded by the
-    // rebind. Either way the id swap is only legal when the two ids
-    // are interchangeable — same predictor counters on every branch pc
-    // in the base state (id 0 stands for "any never-trained id": no
-    // program ever executes with id 0).
-    auto matchAndRebind =
-        [&](Program &prog,
-            const std::shared_ptr<const DecodedProgram> &recorded,
-            std::uint64_t recorded_id) {
-            if (prog.id != 0) {
-                auto decoded = decodeCache_->acquire(prog);
-                if (decoded.get() != recorded.get())
-                    return false;
-                if (prog.id == recorded_id)
-                    return true;
-                if (!idsEquivalent(*decoded, prog.id, recorded_id))
-                    return false;
-            } else {
-                if (prog.numRegs != recorded->numRegs ||
-                    !sameCode(recorded->code, prog.code)) {
-                    return false;
-                }
-                if (!idsEquivalent(*recorded, 0, recorded_id))
-                    return false;
-            }
-            prog.id = recorded_id;
-            return true;
-        };
-
-    if (match) {
-        const TraceOp::RunSpec &spec = op->run;
-        const std::size_t n_extras = extras ? extras->size() : 0;
-        match = spec.ctx == ctx && spec.maxCycles == max_cycles &&
-                spec.initialRegs == initial_regs &&
-                spec.extras.size() == n_extras &&
-                matchAndRebind(program, spec.decoded, spec.programId);
-        if (match && extras) {
-            for (std::size_t i = 0; match && i < n_extras; ++i) {
-                auto &[extra_ctx, extra_prog] = (*extras)[i];
-                const TraceOp::Extra &rec = spec.extras[i];
-                match = extra_ctx == rec.ctx &&
-                        matchAndRebind(*extra_prog, rec.decoded,
-                                       rec.programId);
-            }
-        }
+    RunResult result = core_->coRun(primary, others, max_cycles);
+    if (recording_) {
+        TraceOp op;
+        op.kind = TraceOp::Kind::Run;
+        op.run = std::move(spec);
+        op.result = result;
+        recording_->ops.push_back(std::move(op));
     }
-    if (!match) {
-        divergeReplayImpl();
-        if (extras)
-            return coRun(ctx, program, std::move(*extras), initial_regs,
-                         max_cycles);
-        return run(ctx, program, initial_regs, max_cycles);
-    }
-    ++replayPos_;
-    return op->result;
-}
-
-bool
-Machine::idsEquivalent(const DecodedProgram &decoded, std::uint64_t a,
-                       std::uint64_t b) const
-{
-    if (a == b)
-        return true;
-    // Predictor keys are injective per (id, pc) for the id range a
-    // process can allocate, so the counters under these keys are the
-    // only way an id's value can reach simulated behaviour.
-    const BranchPredictor &base = replayBase_->predictor;
-    for (std::int32_t pc : decoded.branchPcs) {
-        if (base.peek(BranchPredictor::makeKey(a, pc)) !=
-            base.peek(BranchPredictor::makeKey(b, pc))) {
-            return false;
-        }
-    }
-    return true;
+    noteMachineRun(ctx, result);
+    return result;
 }
 
 void
@@ -535,10 +386,6 @@ Machine::setBackground(ContextId ctx, Program program)
     fatalIf(ctx >= static_cast<ContextId>(config_.contexts),
             "Machine::setBackground: context out of range (configure "
             "MachineConfig::contexts)");
-    if (replayTrace_)
-        divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     // The registered copy gets its own fresh (cold-predictor) id even
@@ -555,10 +402,6 @@ Machine::setBackground(ContextId ctx, Program program)
 void
 Machine::clearBackground(ContextId ctx)
 {
-    if (replayTrace_)
-        divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     backgrounds_.erase(ctx);
@@ -567,30 +410,16 @@ Machine::clearBackground(ContextId ctx)
 void
 Machine::clearBackgrounds()
 {
-    if (replayTrace_)
-        divergeReplayImpl();
-    if (guidedTrace_)
-        peelGuided();
     if (recording_)
         markOpaque();
     backgrounds_.clear();
 }
 
-// ---- traced harness operations ----------------------------------------
+// ---- harness operations -------------------------------------------------
 
 void
 Machine::poke(Addr addr, std::int64_t value)
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::Poke);
-        if (op && op->addr == addr && op->value == value) {
-            ++replayPos_;
-            return;
-        }
-        divergeReplayImpl();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Poke, addr, value, 0, 0);
     memory_.write(addr, value);
     if (recording_) {
         TraceOp op;
@@ -604,40 +433,12 @@ Machine::poke(Addr addr, std::int64_t value)
 std::int64_t
 Machine::peek(Addr addr) const
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::Peek);
-        if (op && op->addr == addr) {
-            ++replayPos_;
-            return op->value;
-        }
-        divergeReplay();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Peek, addr, 0, 0, 0);
-    const std::int64_t value = memory_.read(addr);
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::Peek;
-        op.addr = addr;
-        op.value = value;
-        recording_->ops.push_back(std::move(op));
-    }
-    return value;
+    return memory_.read(addr);
 }
 
 void
 Machine::flushLine(Addr addr)
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::FlushLine);
-        if (op && op->addr == addr) {
-            ++replayPos_;
-            return;
-        }
-        divergeReplayImpl();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::FlushLine, addr, 0, 0, 0);
     hierarchy_.flushLine(addr);
     if (recording_) {
         TraceOp op;
@@ -650,16 +451,6 @@ Machine::flushLine(Addr addr)
 void
 Machine::flushAllCaches()
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::FlushAll);
-        if (op) {
-            ++replayPos_;
-            return;
-        }
-        divergeReplayImpl();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::FlushAll, 0, 0, 0, 0);
     hierarchy_.flushAll();
     if (recording_) {
         TraceOp op;
@@ -671,22 +462,11 @@ Machine::flushAllCaches()
 void
 Machine::warm(Addr addr, int upto_level)
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::Warm);
-        if (op && op->addr == addr && op->level == upto_level) {
-            ++replayPos_;
-            return;
-        }
-        divergeReplayImpl();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Warm, addr, 0, upto_level, 0);
     hierarchy_.warm(addr, upto_level);
     if (recording_) {
         TraceOp op;
         op.kind = TraceOp::Kind::Warm;
         op.addr = addr;
-        op.level = upto_level;
         recording_->ops.push_back(std::move(op));
     }
 }
@@ -694,189 +474,60 @@ Machine::warm(Addr addr, int upto_level)
 int
 Machine::probeLevel(Addr addr) const
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::ProbeLevel);
-        if (op && op->addr == addr) {
-            ++replayPos_;
-            return op->level;
-        }
-        divergeReplay();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::ProbeLevel, addr, 0, 0, 0);
-    const int level = hierarchy_.probeLevel(addr);
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::ProbeLevel;
-        op.addr = addr;
-        op.level = level;
-        recording_->ops.push_back(std::move(op));
-    }
-    return level;
+    return hierarchy_.probeLevel(addr);
 }
 
 void
 Machine::settle()
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::Settle);
-        if (op) {
-            ++replayPos_;
-            return;
-        }
-        divergeReplayImpl();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Settle, 0, 0, 0, 0);
     hierarchy_.drainAllFills();
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::Settle;
-        recording_->ops.push_back(std::move(op));
-    }
 }
 
 Cycle
 Machine::now() const
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::Now);
-        if (op) {
-            ++replayPos_;
-            return op->nowCycle;
-        }
-        divergeReplay();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Now, 0, 0, 0, 0);
-    const Cycle cycle = core_->cycle();
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::Now;
-        op.nowCycle = cycle;
-        recording_->ops.push_back(std::move(op));
-    }
-    return cycle;
+    return core_->cycle();
 }
 
 ContextAccessStats
 Machine::contextStats(ContextId ctx) const
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::CtxStats);
-        if (op && op->level == static_cast<int>(ctx)) {
-            ++replayPos_;
-            return op->ctxStats;
-        }
-        divergeReplay();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::CtxStats, 0, 0,
-                      static_cast<int>(ctx), 0);
-    const ContextAccessStats stats = hierarchy_.contextStats(ctx);
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::CtxStats;
-        op.level = static_cast<int>(ctx);
-        op.ctxStats = stats;
-        recording_->ops.push_back(std::move(op));
-    }
-    return stats;
+    return hierarchy_.contextStats(ctx);
 }
 
 std::uint64_t
 Machine::cacheMisses(int level) const
 {
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::CacheMisses);
-        if (op && op->level == level) {
-            ++replayPos_;
-            return static_cast<std::uint64_t>(op->value);
-        }
-        divergeReplay();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::CacheMisses, 0, 0, level, 0);
-    std::uint64_t misses = 0;
     switch (level) {
       case 1:
-        misses = hierarchy_.l1().stats().misses;
-        break;
+        return hierarchy_.l1().stats().misses;
       case 2:
-        misses = hierarchy_.l2().stats().misses;
-        break;
+        return hierarchy_.l2().stats().misses;
       case 3:
-        misses = hierarchy_.l3().stats().misses;
-        break;
+        return hierarchy_.l3().stats().misses;
       default:
         fatal("Machine::cacheMisses: level must be 1-3");
     }
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::CacheMisses;
-        op.level = level;
-        op.value = static_cast<std::int64_t>(misses);
-        recording_->ops.push_back(std::move(op));
-    }
-    return misses;
 }
 
 void
 Machine::reseedNoise(std::uint64_t mix)
 {
-    // Logical-op count: once per public reseed under every tier
-    // (replay-matched, dead-substituted, diverged, and real).
     metrics().machineReseeds.add();
-    if (replayTrace_) {
-        const TraceOp *op = replayExpect(TraceOp::Kind::Reseed);
-        if (op && op->mix == mix) {
-            ++replayPos_;
-            return;
-        }
-        // Dead-reseed substitution (group-stepped tier): the trace
-        // consumed zero noise-stream draws, so no recorded result can
-        // depend on the seeds this reseed installs — a different mix
-        // is behaviorally inert and the replay stays exact. Remember
-        // the substitution so a later divergence re-materializes the
-        // prefix with THIS lane's mix, not the leader's.
-        if (op && replayTolerance_.substituteDeadReseeds &&
-            replayTrace_->rngDraws == 0) {
-            replaySubs_.emplace_back(replayPos_, mix);
-            ++replayPos_;
-            return;
-        }
-        divergeReplayImpl();
-    }
-    if (guidedTrace_)
-        guidedObserve(TraceOp::Kind::Reseed, 0, 0, 0, mix);
-    applyReseed(mix);
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::Reseed;
-        op.mix = mix;
-        recording_->ops.push_back(std::move(op));
-    }
-}
-
-void
-Machine::applyReseed(std::uint64_t mix)
-{
     hierarchy_.reseed(config_.memory.rngSeed ^ mix,
                       config_.memory.l1.rngSeed ^ mix,
                       config_.memory.l2.rngSeed ^ mix,
                       config_.memory.l3.rngSeed ^ mix);
 }
 
-// ---- record/replay ----------------------------------------------------
+// ---- recording -----------------------------------------------------------
 
 void
 Machine::beginRecord(TrialTrace &trace)
 {
-    panicIf(recording_ != nullptr || replayTrace_ != nullptr ||
-                guidedTrace_ != nullptr,
-            "Machine::beginRecord: already tracing");
+    panicIf(recording_ != nullptr, "Machine::beginRecord: already "
+                                   "recording");
     recording_ = &trace;
-    recordDraws0_ = hierarchy_.rngDraws();
 }
 
 void
@@ -884,195 +535,9 @@ Machine::endRecord()
 {
     panicIf(recording_ == nullptr,
             "Machine::endRecord: not recording");
-    // Saturate rather than wrap: restore() rolls the hierarchy's draw
-    // counters back (and marks the trace opaque anyway), and a bogus
-    // huge count must never read as the zero that licenses dead-reseed
-    // substitution.
-    const std::uint64_t draws = hierarchy_.rngDraws();
-    recording_->rngDraws =
-        draws >= recordDraws0_
-            ? draws - recordDraws0_
-            : std::numeric_limits<std::uint64_t>::max();
-    metrics().machineRecords.add();
-    if (draws >= recordDraws0_)
-        metrics().machineRecordRngDraws.add(draws - recordDraws0_);
-    HR_TRACE_INSTANT2("machine", "machine.record", "ops",
-                      recording_->ops.size(), "rng_draws",
-                      recording_->rngDraws);
+    HR_TRACE_INSTANT1("machine", "machine.record", "ops",
+                      recording_->ops.size());
     recording_ = nullptr;
-}
-
-void
-Machine::beginReplay(const TrialTrace &trace, const Snapshot &base,
-                     ReplayTolerance tolerance)
-{
-    panicIf(recording_ != nullptr || replayTrace_ != nullptr ||
-                guidedTrace_ != nullptr,
-            "Machine::beginReplay: already tracing");
-    fatalIf(trace.opaque,
-            "Machine::beginReplay: trace is opaque (the leader used "
-            "snapshot/restore or changed backgrounds)");
-    replayTrace_ = &trace;
-    replayBase_ = &base;
-    replayTolerance_ = tolerance;
-    replayPos_ = 0;
-    replayDiverged_ = false;
-    replaySubs_.clear();
-}
-
-bool
-Machine::endReplay()
-{
-    // Divergence already cleared replayTrace_ mid-trial; a clean
-    // replay still holds it here. A trial that made fewer ops than
-    // the trace is still clean: every answer it received is what real
-    // execution from the base state would have produced.
-    panicIf(replayTrace_ == nullptr && !replayDiverged_,
-            "Machine::endReplay: not replaying");
-    replayTrace_ = nullptr;
-    replayBase_ = nullptr;
-    lastReplayMatched_ = replayPos_;
-    replayPos_ = 0;
-    lastReplaySubs_ = replaySubs_.size();
-    replaySubs_.clear();
-    const bool clean = !replayDiverged_;
-    replayDiverged_ = false;
-    if (clean)
-        metrics().machineReplaysClean.add();
-    else
-        metrics().machineReplaysDiverged.add();
-    HR_TRACE_INSTANT2("machine", "machine.replay_end", "matched",
-                      lastReplayMatched_, "clean",
-                      static_cast<std::uint64_t>(clean));
-    return clean;
-}
-
-void
-Machine::beginGuided(const TrialTrace &trace)
-{
-    panicIf(recording_ != nullptr || replayTrace_ != nullptr ||
-                guidedTrace_ != nullptr,
-            "Machine::beginGuided: already tracing");
-    fatalIf(trace.opaque,
-            "Machine::beginGuided: trace is opaque (the leader used "
-            "snapshot/restore or changed backgrounds)");
-    guidedTrace_ = &trace;
-    guidedPos_ = 0;
-    guidedPeeled_ = false;
-    guidedSubs_ = 0;
-}
-
-bool
-Machine::endGuided()
-{
-    // A peel already cleared guidedTrace_ mid-trial (state was real
-    // throughout, so there was nothing to re-materialize).
-    panicIf(guidedTrace_ == nullptr && !guidedPeeled_,
-            "Machine::endGuided: not guiding");
-    lastGuidedMatched_ = guidedPos_;
-    lastGuidedSubs_ = guidedSubs_;
-    guidedTrace_ = nullptr;
-    guidedPos_ = 0;
-    guidedSubs_ = 0;
-    const bool on_skeleton = !guidedPeeled_;
-    guidedPeeled_ = false;
-    return on_skeleton;
-}
-
-void
-Machine::peelGuided() const
-{
-    guidedTrace_ = nullptr;
-    guidedPeeled_ = true;
-}
-
-const TraceOp *
-Machine::guidedExpect(TraceOp::Kind kind) const
-{
-    if (guidedPos_ >= guidedTrace_->ops.size())
-        return nullptr;
-    const TraceOp &op = guidedTrace_->ops[guidedPos_];
-    return op.kind == kind ? &op : nullptr;
-}
-
-void
-Machine::guidedObserve(TraceOp::Kind kind, Addr addr,
-                       std::int64_t value, int level,
-                       std::uint64_t mix) const
-{
-    const TraceOp *op = guidedExpect(kind);
-    bool match = op != nullptr;
-    if (match) {
-        // Inputs only: guided results come from real execution and may
-        // legitimately differ from the leader's (the noise streams
-        // differ — that is why this lane is guided, not replayed). A
-        // result difference that matters surfaces as a later input
-        // mismatch, which peels.
-        switch (kind) {
-          case TraceOp::Kind::Poke:
-            match = op->addr == addr && op->value == value;
-            break;
-          case TraceOp::Kind::Peek:
-          case TraceOp::Kind::FlushLine:
-          case TraceOp::Kind::ProbeLevel:
-            match = op->addr == addr;
-            break;
-          case TraceOp::Kind::Warm:
-            match = op->addr == addr && op->level == level;
-            break;
-          case TraceOp::Kind::CtxStats:
-          case TraceOp::Kind::CacheMisses:
-            match = op->level == level;
-            break;
-          case TraceOp::Kind::Reseed:
-            if (op->mix != mix)
-                ++guidedSubs_;
-            break;
-          case TraceOp::Kind::FlushAll:
-          case TraceOp::Kind::Settle:
-          case TraceOp::Kind::Now:
-            break; // the kind is the whole comparison
-          case TraceOp::Kind::Run:
-            match = false; // Run ops go through guidedObserveRun
-            break;
-        }
-    }
-    if (!match) {
-        peelGuided();
-        return;
-    }
-    ++guidedPos_;
-}
-
-void
-Machine::guidedObserveRun(ContextId ctx, const DecodedProgram *decoded,
-                          const std::vector<std::pair<RegId,
-                                                      std::int64_t>>
-                              &initial_regs,
-                          Cycle max_cycles,
-                          const std::vector<TraceOp::Extra> *extras)
-    const
-{
-    const TraceOp *op = guidedExpect(TraceOp::Kind::Run);
-    bool match = op != nullptr;
-    if (match) {
-        const TraceOp::RunSpec &rec = op->run;
-        const std::size_t n_extras = extras ? extras->size() : 0;
-        match = rec.ctx == ctx && rec.maxCycles == max_cycles &&
-                rec.initialRegs == initial_regs &&
-                rec.extras.size() == n_extras &&
-                rec.decoded.get() == decoded;
-        for (std::size_t i = 0; match && i < n_extras; ++i) {
-            match = rec.extras[i].ctx == (*extras)[i].ctx &&
-                    rec.extras[i].decoded.get() ==
-                        (*extras)[i].decoded.get();
-        }
-    }
-    if (!match) {
-        peelGuided();
-        return;
-    }
-    ++guidedPos_;
 }
 
 void
@@ -1080,94 +545,6 @@ Machine::markOpaque()
 {
     recording_->opaque = true;
     HR_TRACE_INSTANT("machine", "machine.trace_opaque");
-}
-
-const TraceOp *
-Machine::replayExpect(TraceOp::Kind kind) const
-{
-    if (replayPos_ >= replayTrace_->ops.size())
-        return nullptr;
-    const TraceOp &op = replayTrace_->ops[replayPos_];
-    return op.kind == kind ? &op : nullptr;
-}
-
-void
-Machine::divergeReplay() const
-{
-    // Divergence can be triggered from const reads (peek, probeLevel,
-    // now); re-materializing state is logically a mutation.
-    const_cast<Machine *>(this)->divergeReplayImpl();
-}
-
-void
-Machine::divergeReplayImpl()
-{
-    if (replayTrace_ == nullptr)
-        return;
-    const TrialTrace &trace = *replayTrace_;
-    const Snapshot &base = *replayBase_;
-    const std::size_t prefix = replayPos_;
-    const auto subs = std::move(replaySubs_);
-
-    // Leave replay mode before touching state so everything below —
-    // and everything the trial does from here on — executes for real.
-    replayTrace_ = nullptr;
-    replayBase_ = nullptr;
-    replayDiverged_ = true;
-    replaySubs_.clear();
-
-    HR_TRACE_INSTANT1("machine", "machine.replay_diverge",
-                      "prefix_ops", prefix);
-
-    // Re-materialize: the trial logically executed the matched prefix
-    // from the base state; do exactly that, for real. Determinism
-    // makes the re-execution reproduce every recorded result.
-    restore(base);
-    std::size_t next_sub = 0;
-    for (std::size_t i = 0; i < prefix; ++i) {
-        const TraceOp &op = trace.ops[i];
-        // A reseed the replay tolerated by substitution re-executes
-        // with the substituted (this trial's) mix, not the leader's:
-        // the prefix being re-materialized is THIS trial's logical
-        // history. (Being dead — zero draws before the divergence
-        // point — either mix reproduces the recorded results; the
-        // substituted one also leaves the post-divergence noise
-        // streams seeded the way this trial asked for.)
-        std::uint64_t reseed_mix = op.mix;
-        if (next_sub < subs.size() && subs[next_sub].first == i) {
-            reseed_mix = subs[next_sub].second;
-            ++next_sub;
-        }
-        switch (op.kind) {
-          case TraceOp::Kind::Run:
-            realCoRun(op.run);
-            break;
-          case TraceOp::Kind::Poke:
-            memory_.write(op.addr, op.value);
-            break;
-          case TraceOp::Kind::FlushLine:
-            hierarchy_.flushLine(op.addr);
-            break;
-          case TraceOp::Kind::FlushAll:
-            hierarchy_.flushAll();
-            break;
-          case TraceOp::Kind::Warm:
-            hierarchy_.warm(op.addr, op.level);
-            break;
-          case TraceOp::Kind::Settle:
-            hierarchy_.drainAllFills();
-            break;
-          case TraceOp::Kind::Reseed:
-            applyReseed(reseed_mix);
-            break;
-          case TraceOp::Kind::Peek:
-          case TraceOp::Kind::ProbeLevel:
-          case TraceOp::Kind::Now:
-          case TraceOp::Kind::CtxStats:
-          case TraceOp::Kind::CacheMisses:
-            break; // pure reads leave no state to re-materialize
-        }
-    }
 }
 
 } // namespace hr

@@ -13,10 +13,10 @@
  * and coRun() interleaves explicit co-runners — all deterministically.
  *
  * Programs are executed through a DecodedProgram image resolved by a
- * per-configuration DecodeCache (shareable across a MachinePool), and
- * the whole public harness surface can be recorded into a TrialTrace
- * and replayed — the machinery behind BatchRunner's lockstep trial
- * batching (see exp/batch.hh).
+ * per-configuration DecodeCache (shareable across a MachinePool). The
+ * state-shaping harness operations can be recorded into a TrialTrace,
+ * which the static leakage analyzer folds into a cache footprint
+ * (see analysis/leakage.hh).
  */
 
 #ifndef HR_SIM_MACHINE_HH
@@ -116,8 +116,9 @@ class Machine
      *  - Programs keep their assigned ids across a restore; ids are
      *    allocated from a process-wide counter that never rolls back,
      *    so a program first run after the snapshot keeps one stable
-     *    (always initially cold) id across every replay — which is
-     *    what makes replays bit-identical without id collisions.
+     *    (always initially cold) id across every restore — which is
+     *    what makes restored runs bit-identical without id
+     *    collisions.
      */
     class Snapshot
     {
@@ -137,7 +138,7 @@ class Machine
     /**
      * Capture the current state (between run() calls). Taking or
      * restoring a snapshot while a TrialTrace is being recorded marks
-     * the trace opaque (state time-travel cannot be replayed).
+     * the trace opaque (it no longer describes one linear trial).
      */
     Snapshot snapshot();
 
@@ -230,7 +231,8 @@ class Machine
      * are then abandoned mid-flight like descheduled neighbors.
      */
     RunResult coRun(ContextId ctx, Program &program,
-                    std::vector<std::pair<ContextId, Program *>> extras,
+                    const std::vector<std::pair<ContextId, Program *>>
+                        &extras,
                     const std::vector<std::pair<RegId, std::int64_t>>
                         &initial_regs = {},
                     Cycle max_cycles = 500'000'000);
@@ -275,127 +277,30 @@ class Machine
      */
     void settle();
 
-    /**
-     * Per-context access counters (traced read; prefer this over raw
-     * hierarchy().contextStats() in trial code so the value replays
-     * correctly under BatchRunner — the raw accessor reads whatever
-     * state the machine happens to hold, which during a replay is NOT
-     * the trial's logical state).
-     */
+    /** Per-context access counters. */
     ContextAccessStats contextStats(ContextId ctx) const;
 
-    /** Total misses at a cache level (1-3); traced read like above. */
+    /** Total misses at a cache level (1-3). */
     std::uint64_t cacheMisses(int level) const;
 
     /**
      * Reseed the hierarchy's jitter/replacement randomness streams with
      * this machine's configured seeds xor @p mix (the per-trial
      * decorrelation scenarios use; see ScenarioContext::reseedMachine).
-     * Part of the traceable harness surface, unlike raw
-     * hierarchy().reseed().
      */
     void reseedNoise(std::uint64_t mix);
 
-    // ---- trial record/replay (see trial_trace.hh, exp/batch.hh) -------
+    // ---- trial recording (see trial_trace.hh) -------------------------
     /**
-     * Start recording every public harness operation (and its result)
-     * into @p trace, which the caller owns and must keep alive until
-     * endRecord(). The machine still executes everything for real.
+     * Start recording the state-shaping harness operations (run/coRun,
+     * poke, warm, flushLine, flushAllCaches) into @p trace, which the
+     * caller owns and must keep alive until endRecord(). The machine
+     * still executes everything for real.
      */
     void beginRecord(TrialTrace &trace);
 
-    /** Stop recording (stamps TrialTrace::rngDraws). */
+    /** Stop recording. */
     void endRecord();
-
-    /**
-     * What a replay may paper over beyond an exact op-for-op match.
-     * The group-stepped batching tier turns on dead-reseed
-     * substitution; the plain leader/follower tier replays strict.
-     */
-    struct ReplayTolerance
-    {
-        // Constructor instead of a default member initializer: the
-        // latter cannot feed beginReplay's default argument below
-        // (the enclosing class is still incomplete there).
-        ReplayTolerance() : substituteDeadReseeds(false) {}
-
-        /**
-         * Treat a reseedNoise whose mix differs from the recorded one
-         * as matching, provided the trace consumed zero noise-stream
-         * draws (TrialTrace::rngDraws == 0, making every reseed in it
-         * behaviorally dead). The substituted mixes are applied — in
-         * place of the recorded ones — if the replay later diverges
-         * and the prefix is re-materialized.
-         */
-        bool substituteDeadReseeds;
-    };
-
-    /**
-     * Start replaying against @p trace: as long as incoming operations
-     * match the recorded sequence, they are answered from the recorded
-     * results with no simulation and no state change. On the first
-     * mismatch the machine transparently re-materializes real state —
-     * restore(@p base), re-execute the matched prefix for real — and
-     * drops out of replay; the caller's trial continues scalar without
-     * noticing. @p base must be the state the trace was recorded from,
-     * and both must outlive the replay.
-     */
-    void beginReplay(const TrialTrace &trace, const Snapshot &base,
-                     ReplayTolerance tolerance = {});
-
-    /**
-     * Finish a replay. Returns true if every operation was served from
-     * the trace (machine state was never touched); false if the trial
-     * diverged and finished scalar (state reflects the trial's real
-     * execution from @p base).
-     */
-    bool endReplay();
-
-    /**
-     * Reseed substitutions the last finished replay tolerated (0 for
-     * a strict replay). A clean replay with substitutions was
-     * group-stepped, not answered verbatim — BatchRunner's stats
-     * distinguish the two.
-     */
-    std::size_t replaySubstitutions() const { return lastReplaySubs_; }
-
-    /**
-     * Ops the last finished replay matched: the whole trial for a
-     * clean replay, the re-materialized prefix for a diverged one.
-     */
-    std::size_t replayMatched() const { return lastReplayMatched_; }
-
-    /**
-     * Start guided execution against @p trace: every operation
-     * executes for real on this machine's current state (which the
-     * caller has restored to the trace's base), while being matched
-     * against the recorded op sequence on the side. Reseed mixes may
-     * substitute freely (the op still executes, with the lane's own
-     * mix). The first genuinely mismatched op peels the machine off
-     * the skeleton — at zero cost, since nothing was skipped — and the
-     * trial simply continues scalar. This is the group-stepped path
-     * for traces whose results DO depend on the noise seeds
-     * (TrialTrace::rngDraws > 0): the trial cannot be answered from
-     * the trace, but it can march down the same op skeleton and
-     * report, for free, whether it stayed on it.
-     */
-    void beginGuided(const TrialTrace &trace);
-
-    /**
-     * Finish guided execution. Returns true if the trial never peeled
-     * off the skeleton (every op it made matched, in order).
-     */
-    bool endGuided();
-
-    /** Ops matched before the last guided trial ended or peeled. */
-    std::size_t guidedMatched() const { return lastGuidedMatched_; }
-
-    /** Reseed-mix substitutions during the last guided trial. */
-    std::size_t guidedSubstitutions() const { return lastGuidedSubs_; }
-
-    bool recording() const { return recording_ != nullptr; }
-    bool replaying() const { return replayTrace_ != nullptr; }
-    bool guiding() const { return guidedTrace_ != nullptr; }
 
   private:
     MachineConfig config_;
@@ -415,97 +320,15 @@ class Machine
     };
     std::map<ContextId, Background> backgrounds_;
 
-    // --- record/replay state (mutable: const reads are traced too) ---
+    /** The trace being recorded into, if any. */
     TrialTrace *recording_ = nullptr;
-    std::uint64_t recordDraws0_ = 0;
-    const TrialTrace *replayTrace_ = nullptr;
-    const Snapshot *replayBase_ = nullptr;
-    ReplayTolerance replayTolerance_;
-    mutable std::size_t replayPos_ = 0;
-    mutable bool replayDiverged_ = false;
-    /** (op index, substituted mix) pairs of the active replay. */
-    mutable std::vector<std::pair<std::size_t, std::uint64_t>>
-        replaySubs_;
-    std::size_t lastReplaySubs_ = 0;
-    std::size_t lastReplayMatched_ = 0;
 
-    // --- guided-execution state (see beginGuided) ---
-    mutable const TrialTrace *guidedTrace_ = nullptr;
-    mutable std::size_t guidedPos_ = 0;
-    mutable bool guidedPeeled_ = false;
-    mutable std::size_t guidedSubs_ = 0;
-    std::size_t lastGuidedMatched_ = 0;
-    std::size_t lastGuidedSubs_ = 0;
-
-    // --- execution internals ---
     RunResult realRun(ContextId ctx, const DecodedProgram &decoded,
                       std::uint64_t program_id,
                       const std::vector<std::pair<RegId, std::int64_t>>
                           &initial_regs,
                       Cycle max_cycles);
-    RunResult realCoRun(const TraceOp::RunSpec &spec);
-    RunResult replayRun(ContextId ctx, Program &program,
-                        std::vector<std::pair<ContextId, Program *>>
-                            *extras,
-                        const std::vector<std::pair<RegId, std::int64_t>>
-                            &initial_regs,
-                        Cycle max_cycles);
-    void applyReseed(std::uint64_t mix);
     void markOpaque();
-
-    /**
-     * Whether two program ids are interchangeable for @p decoded given
-     * the replay base state: every branch pc holds the same predictor
-     * counter under both ids.
-     */
-    bool idsEquivalent(const DecodedProgram &decoded, std::uint64_t a,
-                       std::uint64_t b) const;
-
-    /**
-     * Leave replay mode at the current position: restore the base
-     * snapshot, re-execute the matched prefix for real, and continue
-     * scalar. Const because divergence can be triggered from const
-     * reads (peek/probeLevel/now); the machine is logically mutable
-     * here by design.
-     */
-    void divergeReplay() const;
-    void divergeReplayImpl();
-
-    /** Next trace op if it matches @p kind, else diverge and null. */
-    const TraceOp *replayExpect(TraceOp::Kind kind) const;
-
-    // --- guided-execution internals ---
-    /**
-     * Match one executed-for-real op against the skeleton: advance on
-     * a hit, peel quietly on a miss. Const for the same reason as
-     * divergeReplay: pure reads (peek/now/...) participate too, and
-     * peeling only flips bookkeeping — state is already real.
-     */
-    void guidedObserve(TraceOp::Kind kind, Addr addr, std::int64_t value,
-                       int level, std::uint64_t mix) const;
-
-    /**
-     * guidedObserve for run/coRun: compares context, decoded image
-     * (pointer equality — the shared DecodeCache content-aliases
-     * identical programs), initial regs, cycle budget, and co-runners.
-     * Program ids are NOT compared: a guided lane executes fresh
-     * programs under its own freshly-allocated ids, which are cold
-     * exactly like the leader's were, so the id value cannot reach
-     * simulated behaviour.
-     */
-    void guidedObserveRun(ContextId ctx, const DecodedProgram *decoded,
-                          const std::vector<std::pair<RegId,
-                                                      std::int64_t>>
-                              &initial_regs,
-                          Cycle max_cycles,
-                          const std::vector<TraceOp::Extra> *extras)
-        const;
-
-    /** The skeleton op the next real op should match, if any. */
-    const TraceOp *guidedExpect(TraceOp::Kind kind) const;
-
-    /** Stop matching against the skeleton (state is already real). */
-    void peelGuided() const;
 };
 
 } // namespace hr

@@ -2,24 +2,15 @@
  * @file
  * TrialTrace: a recorded sequence of Machine harness operations.
  *
- * The simulator is deterministic: a machine's evolution (and every
- * value a trial can observe) is a pure function of its starting state
- * and the sequence of public Machine operations applied to it. A
- * trace records that sequence — each op with its inputs and its
- * result — while a leader trial runs for real. A follower trial whose
- * op stream matches the trace op-for-op can then be answered entirely
- * from the recorded results, with zero simulation: that is the
- * lockstep fast path BatchRunner drives.
- *
- * The op surface is exactly Machine's public harness API: run/coRun,
- * poke/peek, flushLine/flushAllCaches, warm, probeLevel, settle, now,
- * reseedNoise, contextStats, and cacheMisses. Anything else a trial
- * does to the machine —
- * snapshot/restore, background registration, raw hierarchy()
- * mutation — is outside the traceable surface; snapshot/restore and
- * background changes during recording mark the trace opaque
- * (followers run scalar), and raw-handle mutation is a documented
- * contract violation (see EXPERIMENTS.md).
+ * The static leakage analyzer (analysis/leakage.hh) and the capacity
+ * engine record one trial per polarity through Machine::beginRecord
+ * and fold the trace into a cache footprint: every operation that can
+ * shape cache or memory state — run/coRun, poke, warm, flushLine,
+ * flushAllCaches — is appended with its inputs (and, for runs, the
+ * outcome). Reads, settle and reseedNoise leave no footprint and are
+ * not recorded. Snapshot/restore and background changes during
+ * recording cannot be expressed as a linear op sequence, so they mark
+ * the trace opaque, which the analyzer reports.
  */
 
 #ifndef HR_SIM_TRIAL_TRACE_HH
@@ -30,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/hierarchy.hh"
 #include "core/ooo_core.hh"
 #include "isa/decoded_program.hh"
 #include "util/types.hh"
@@ -38,78 +28,43 @@
 namespace hr
 {
 
-/** One recorded Machine operation: inputs and memoized outputs. */
+/** One recorded Machine operation. */
 struct TraceOp
 {
     enum class Kind : std::uint8_t
     {
-        Run,        ///< run()/coRun() (one op per outermost call)
-        Poke,       ///< poke(addr, value)
-        Peek,       ///< peek(addr) -> value
-        FlushLine,  ///< flushLine(addr)
-        FlushAll,   ///< flushAllCaches()
-        Warm,       ///< warm(addr, level)
-        ProbeLevel, ///< probeLevel(addr) -> level
-        Settle,     ///< settle()
-        Now,        ///< now() -> nowCycle
-        Reseed,     ///< reseedNoise(mix)
-        CtxStats,   ///< contextStats(ctx) -> ctxStats
-        CacheMisses,///< cacheMisses(level) -> value
+        Run,       ///< run()/coRun() (one op per call)
+        Poke,      ///< poke(addr, value)
+        Warm,      ///< warm(addr) to any level
+        FlushLine, ///< flushLine(addr)
+        FlushAll,  ///< flushAllCaches()
     };
 
-    /** A coRun co-runner as recorded (no initial regs by contract). */
-    struct Extra
-    {
-        ContextId ctx = 0;
-        std::shared_ptr<const DecodedProgram> decoded;
-        std::uint64_t programId = 0;
-    };
-
-    /** Inputs of a Run op (enough to re-execute it for real). */
+    /** Inputs of a Run op (co-runners start with no initial regs). */
     struct RunSpec
     {
-        ContextId ctx = 0;
         std::shared_ptr<const DecodedProgram> decoded;
-        std::uint64_t programId = 0;
         std::vector<std::pair<RegId, std::int64_t>> initialRegs;
-        Cycle maxCycles = 0;
-        std::vector<Extra> extras;
+        std::vector<std::shared_ptr<const DecodedProgram>> extras;
     };
 
-    Kind kind = Kind::Settle;
-    RunSpec run;             ///< Kind::Run only
-    RunResult result;        ///< Kind::Run: memoized outcome
-    Addr addr = 0;           ///< Poke/Peek/FlushLine/Warm/ProbeLevel
-    std::int64_t value = 0;  ///< Poke input / Peek / CacheMisses result
-    int level = 0;           ///< Warm/CacheMisses input, ProbeLevel
-                             ///< result, CtxStats context input
-    Cycle nowCycle = 0;      ///< Now result
-    std::uint64_t mix = 0;   ///< Reseed input
-    ContextAccessStats ctxStats; ///< CtxStats result
+    Kind kind = Kind::Run;
+    RunSpec run;            ///< Kind::Run only
+    RunResult result;       ///< Kind::Run: the outcome
+    Addr addr = 0;          ///< Poke/Warm/FlushLine
+    std::int64_t value = 0; ///< Poke
 };
 
-/** A recorded trial: the op sequence one leader execution made. */
+/** A recorded trial: the op sequence one execution made. */
 struct TrialTrace
 {
     std::vector<TraceOp> ops;
 
     /**
-     * The leader used snapshot/restore or changed backgrounds while
-     * recording: the trace cannot stand in for real execution, and
-     * followers must run scalar.
+     * The trial used snapshot/restore or changed backgrounds while
+     * recording: the op sequence does not describe its execution.
      */
     bool opaque = false;
-
-    /**
-     * Machine noise-stream (jitter + replacement) RNG values the
-     * leader consumed while recording. Zero is a proof that every
-     * recorded result is independent of the noise seeds: no stream was
-     * ever read, so a reseedNoise with a *different* mix is
-     * behaviorally dead and a follower differing only in reseed mixes
-     * can still be answered from the trace (the dead-reseed fast path
-     * of the group-stepped batching tier; see sim/machine_group.hh).
-     */
-    std::uint64_t rngDraws = 0;
 };
 
 } // namespace hr

@@ -67,9 +67,8 @@ class Rng
     /**
      * Values drawn since construction. Consumers that must prove a
      * stretch of execution never consumed randomness (lockstep
-     * fast-forward, dead-reseed replay) compare this before/after: an
-     * unchanged count means the stream state is untouched, so any
-     * reseed of it was behaviorally dead.
+     * fast-forward) compare this before/after: an unchanged count
+     * means the stream state is untouched.
      */
     std::uint64_t draws() const { return draws_; }
 

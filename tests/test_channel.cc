@@ -3,14 +3,16 @@
  * Covert-channel subsystem tests: ECC round trips (Hamming(7,4)
  * single-error correction, repetition majority), frame sync with
  * offset and corrupted preambles, modem polarity learning, the
- * end-to-end Channel driver and its stats, the channel registry
- * round trip, channel-sweep determinism across --jobs, and the
- * --seed plumbing into per-trial machine sub-streams.
+ * end-to-end Channel driver and its stats, pooled transmissions
+ * against fresh machines, the channel registry round trip,
+ * channel-sweep determinism across --jobs, and the --seed plumbing
+ * into per-trial machine sub-streams.
  */
 
 #include <gtest/gtest.h>
 
 #include "channel/channel_registry.hh"
+#include "exp/machine_pool.hh"
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
@@ -268,6 +270,52 @@ TEST(Channel, EndToEndErrorFreeOverPlruMagnifier)
     // Raw capacity counts preamble + ECC overhead; effective strips
     // it, so it must be strictly smaller.
     EXPECT_LT(stats.effectiveBitsPerSec(), stats.rawBitsPerSec());
+}
+
+TEST(Channel, PooledRunsMatchFreshMachines)
+{
+    ParamSet overrides;
+    overrides.set("ecc", "none");
+    overrides.set("frame_bits", "8");
+    const ChannelConfig config =
+        ChannelRegistry::instance().makeConfig("ook_arith", overrides);
+    const MachineConfig machine_config =
+        machineConfigForProfile("default");
+
+    // Repeated and distinct payloads alike.
+    std::vector<std::vector<bool>> payloads;
+    for (int p = 0; p < 6; ++p) {
+        std::vector<bool> payload;
+        for (int i = 0; i < 8; ++i)
+            payload.push_back(((p / 2) >> (i % 3)) & 1);
+        payloads.push_back(payload);
+    }
+
+    // prepare() folds into the pool's base state; every lease of the
+    // one pooled machine restores it before the next transmission.
+    Channel pooled(config);
+    MachinePool pool(machine_config, [&](Machine &machine) {
+        pooled.prepare(machine);
+    });
+    Channel fresh(config);
+    for (std::size_t i = 0; i < payloads.size(); ++i) {
+        SCOPED_TRACE("payload " + std::to_string(i));
+        auto lease = pool.lease();
+        const ChannelStats got = pooled.run(lease.machine(), payloads[i]);
+        Machine machine(machine_config);
+        fresh.prepare(machine);
+        const ChannelStats want = fresh.run(machine, payloads[i]);
+        EXPECT_EQ(got.framesSent, want.framesSent);
+        EXPECT_EQ(got.framesSynced, want.framesSynced);
+        EXPECT_EQ(got.symbolsSent, want.symbolsSent);
+        EXPECT_EQ(got.symbolErrors, want.symbolErrors);
+        EXPECT_EQ(got.payloadErrors, want.payloadErrors);
+        EXPECT_EQ(got.cycles, want.cycles);
+        for (int s = 0; s < 2; ++s)
+            for (int d = 0; d < 2; ++d)
+                EXPECT_EQ(got.confusion[s][d], want.confusion[s][d]);
+    }
+    EXPECT_EQ(pool.machinesBuilt(), 1u);
 }
 
 TEST(Channel, IncompatibleCombinationsReportNotThrow)

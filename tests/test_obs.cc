@@ -23,7 +23,7 @@ namespace hr
 namespace
 {
 
-/** A small but real gadget sweep (batched, pooled, replayed). */
+/** A small but real gadget sweep (pooled, reseeded per point). */
 SweepOptions
 smallSweep(int jobs, const std::string &profile)
 {

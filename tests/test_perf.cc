@@ -37,7 +37,7 @@ sampleSuites()
     return {
         suite("host_speed", 1e8, "/s", true, false),
         suite("core_throughput", 5e6, "/s", true, true),
-        suite("trial_path_speedup", 12.0, "x", true, false),
+        suite("trace_overhead", 1.0, "x", true, false),
         suite("fig08_quick_wall", 0.5, "s", false, true),
     };
 }

@@ -15,7 +15,7 @@ root="$(cd "$(dirname "$0")/.." && pwd)"
 cd "$root"
 
 catalog="src/obs/metrics.hh"
-subsystems='machine|batch|group|decode|pool|lockstep|channel|runner|sweep|progress|trace'
+subsystems='machine|batch|decode|pool|lockstep|channel|runner|sweep|progress|trace'
 
 # Catalog entries look like:  MetricCounter foo{*this, "machine.runs_total"};
 # (joined across line wraps before matching).
