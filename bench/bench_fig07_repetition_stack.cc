@@ -44,10 +44,10 @@ class Fig07RepetitionStack : public Scenario
         for (bool racing : {false, true}) {
             ParamSet params;
             params.set("racing", racing ? "1" : "0");
-            auto source =
-                GadgetRegistry::instance().make("repetition", params);
-            const TimingSample same = source->sample(machine, false);
-            const TimingSample diff = source->sample(machine, true);
+            auto source = GadgetRegistry::instance().make(
+                "repetition", machine, params);
+            const TimingSample same = source->sample(false);
+            const TimingSample diff = source->sample(true);
             const std::int64_t signal =
                 static_cast<std::int64_t>(diff.cycles) -
                 static_cast<std::int64_t>(same.cycles);

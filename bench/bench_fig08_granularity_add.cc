@@ -28,10 +28,10 @@ exprOutlastsBaselineOn(Machine &machine, Opcode target_op,
     params.set("slow_ops", std::to_string(target_ops));
     params.set("ref_op", opcodeName(ref_op));
     params.set("ref_ops", std::to_string(ref_ops));
-    auto race = GadgetRegistry::instance().make("pa_race", params);
+    auto race = GadgetRegistry::instance().make("pa_race", machine, params);
     // secret=true samples the slow_ops expression; the bit is the
     // transient probe's presence, i.e. "expression lost the race".
-    return race->sample(machine, true).bit;
+    return race->sample(true).bit;
 }
 
 /** As above, but leasing a pristine machine from the pool. */

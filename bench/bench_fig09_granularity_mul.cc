@@ -26,8 +26,9 @@ thresholdMulRefOps(MachinePool &pool, Opcode target_op,
         params.set("slow_ops", std::to_string(target_ops));
         params.set("ref_op", "mul");
         params.set("ref_ops", std::to_string(mid));
-        auto race = GadgetRegistry::instance().make("pa_race", params);
-        if (!race->sample(machine, true).bit) {
+        auto race =
+            GadgetRegistry::instance().make("pa_race", machine, params);
+        if (!race->sample(true).bit) {
             found = mid;
             hi = mid - 1;
         } else {

@@ -4,6 +4,7 @@
 
 #include "exp/registry.hh"
 #include "gadgets/gadget_registry.hh"
+#include "util/log.hh"
 #include "util/stats.hh"
 
 namespace hr
@@ -63,7 +64,9 @@ class Fig10ReorderDistribution : public Scenario
                 ParamSet params;
                 params.set("repeats", std::to_string(repeats));
                 auto pipeline = GadgetRegistry::instance().make(
-                    "reorder_pipeline", params);
+                    "reorder_pipeline", machine, params);
+                fatalIf(!pipeline, "fig10: reorder_pipeline needs a "
+                                   "4-way tree-PLRU L1 profile");
 
                 TrialSample sample;
                 // secret=true: A inserted first, traversal pinned
@@ -71,7 +74,7 @@ class Fig10ReorderDistribution : public Scenario
                 // hits (fast).
                 for (bool secret : {true, false}) {
                     const TimingSample s =
-                        pipeline->sample(machine, secret);
+                        pipeline->sample(secret);
                     const double ms = machine.toNs(s.cycles) / 1e6;
                     (secret ? sample.slow_ms : sample.fast_ms) = ms;
                 }

@@ -2,6 +2,7 @@
 
 #include "exp/registry.hh"
 #include "gadgets/gadget_registry.hh"
+#include "util/log.hh"
 #include "util/table.hh"
 
 namespace hr
@@ -108,9 +109,11 @@ class Fig11ArbitraryReplacement : public Scenario
         params.set("repeats", std::to_string(repeats));
         params.set("prefetch", prefetch ? "1" : "0");
         auto magnifier = GadgetRegistry::instance().make(
-            "arbitrary_magnifier", params);
-        const Cycle fast = magnifier->sample(machine, false).cycles;
-        const Cycle slow = magnifier->sample(machine, true).cycles;
+            "arbitrary_magnifier", machine, params);
+        fatalIf(!magnifier, "fig11: arbitrary_magnifier does not fit "
+                            "this profile's L1");
+        const Cycle fast = magnifier->sample(false).cycles;
+        const Cycle slow = magnifier->sample(true).cycles;
         return machine.toUs(slow > fast ? slow - fast : 0);
     }
 };

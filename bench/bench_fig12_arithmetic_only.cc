@@ -56,18 +56,21 @@ class Fig12ArithmeticOnly : public Scenario
                     "stages",
                     std::to_string(
                         stage_counts[static_cast<std::size_t>(i)]));
-                auto magnifier = GadgetRegistry::instance().make(
-                    "arith_magnifier", params);
                 // Each polarity runs on a fresh machine so both see the
                 // same absolute interrupt grid (deltas are otherwise
                 // dominated by which run happens to straddle a
                 // boundary).
+                const GadgetRegistry &registry = GadgetRegistry::instance();
                 Machine fast_machine(mc);
                 const Cycle fast =
-                    magnifier->sample(fast_machine, false).cycles;
+                    registry.make("arith_magnifier", fast_machine, params)
+                        ->sample(false)
+                        .cycles;
                 Machine slow_machine(mc);
                 const Cycle slow =
-                    magnifier->sample(slow_machine, true).cycles;
+                    registry.make("arith_magnifier", slow_machine, params)
+                        ->sample(true)
+                        .cycles;
                 const Cycle delta = slow > fast ? slow - fast : 0;
                 Point point;
                 point.delta_us = fast_machine.toUs(delta);

@@ -70,16 +70,16 @@ class TabContentionGranularity : public Scenario
             auto lease = pool.lease();
             Machine &machine = lease.machine();
             auto source =
-                GadgetRegistry::instance().make(gadget, params);
-            if (!source->compatible(machine))
+                GadgetRegistry::instance().make(gadget, machine, params);
+            if (!source)
                 return point;
             try {
-                source->calibrate(machine);
+                source->calibrate();
             } catch (const std::exception &) {
                 return point; // states inseparable at this gap
             }
             const PolarityStats stats =
-                measurePolarities(*source, machine, trials);
+                measurePolarities(*source, trials);
             point.fastReading = stats.fastReading;
             point.slowReading = stats.slowReading;
             point.accuracy = stats.accuracy();

@@ -126,19 +126,19 @@ class TabNoiseRobustness : public Scenario
                             ->lease();
                     Machine &machine = lease.machine();
                     auto source = GadgetRegistry::instance().make(
-                        swept.gadget, gadgetParams(swept));
-                    if (!source->compatible(machine)) {
+                        swept.gadget, machine, gadgetParams(swept));
+                    if (!source) {
                         cell.status = "incompatible";
                         return cell;
                     }
                     try {
-                        source->calibrate(machine);
+                        source->calibrate();
                     } catch (const std::exception &) {
                         cell.status = "calib_fail";
                         return cell;
                     }
                     const PolarityStats stats =
-                        measurePolarities(*source, machine, trials);
+                        measurePolarities(*source, trials);
                     cell.accuracy = stats.accuracy();
                     cell.deltaUs = machine.toUs(static_cast<Cycle>(
                         stats.slowCycles > stats.fastCycles

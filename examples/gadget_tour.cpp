@@ -1,9 +1,10 @@
 /**
  * @file
  * A tour of every registered gadget: construct each TimingSource by
- * name, find a machine profile it runs on, calibrate, and transmit one
- * bit each way. The whole library surface in one loop — adding a new
- * gadget to the registry adds it to this tour automatically.
+ * name on the first machine profile it runs on, calibrate, and
+ * transmit one bit each way. The whole library surface in one loop —
+ * adding a new gadget to the registry adds it to this tour
+ * automatically.
  */
 
 #include <cstdio>
@@ -21,28 +22,28 @@ main()
         std::printf("-- %s [%s] --\n  %s\n", info->name.c_str(),
                     info->kind.c_str(), info->description.c_str());
 
-        // First profile the gadget is compatible with (a sweep would
-        // report the rest as `incompatible`).
-        auto source = GadgetRegistry::instance().make(info->name);
+        // First profile the gadget can run on (a sweep would report the
+        // rest as `incompatible`).
         std::unique_ptr<Machine> machine;
+        std::unique_ptr<TimingSource> source;
         std::string profile_name;
         for (const MachineProfile &profile : machineProfiles()) {
-            auto candidate = std::make_unique<Machine>(profile.make());
-            if (source->compatible(*candidate)) {
-                machine = std::move(candidate);
+            machine = std::make_unique<Machine>(profile.make());
+            source = GadgetRegistry::instance().make(info->name, *machine);
+            if (source) {
                 profile_name = profile.name;
                 break;
             }
         }
-        if (!machine) {
+        if (!source) {
             std::printf("  (no compatible machine profile)\n\n");
             continue;
         }
 
         try {
-            source->calibrate(*machine);
-            const TimingSample fast = source->sample(*machine, false);
-            const TimingSample slow = source->sample(*machine, true);
+            source->calibrate();
+            const TimingSample fast = source->sample(false);
+            const TimingSample slow = source->sample(true);
             std::printf("  on `%s`: transmit 0 -> %.1f us (bit %d), "
                         "transmit 1 -> %.1f us (bit %d)\n",
                         profile_name.c_str(), machine->toNs(fast.cycles)
@@ -56,7 +57,7 @@ main()
         std::printf("\n");
     }
 
-    std::printf("compose your own: Pipeline().then(encoder)"
-                ".then(amplifier) — see gadgets/sources.hh\n");
+    std::printf("compose your own: Pipeline(machine).then(encoder)"
+                ".then(amplifier) — see gadgets/pipeline.hh\n");
     return 0;
 }

@@ -27,16 +27,18 @@ main()
     params.set("ref_ops", "20");
     params.set("slow_ops", "60");
     params.set("fast_ops", "5");
-    auto timer = GadgetRegistry::instance().make("hacky_pipeline", params);
-    std::printf("source: %s\n  %s\n", timer->name().c_str(),
-                timer->describe().c_str());
+    auto timer =
+        GadgetRegistry::instance().make("hacky_pipeline", machine, params);
+    std::printf("source: %s\n  composed stack: pa_race -> "
+                "plru_pa_magnifier, read with the coarse clock\n",
+                timer->name().c_str());
 
     // Calibrate the coarse-clock decision threshold from the two known
-    // magnifier states, then observe: sample(machine, secret) returns
-    // the quantized duration and the decoded bit.
-    timer->calibrate(machine);
+    // magnifier states, then observe: sample(secret) returns the
+    // quantized duration and the decoded bit.
+    timer->calibrate();
     for (bool secret : {false, true, true, false}) {
-        const TimingSample sample = timer->sample(machine, secret);
+        const TimingSample sample = timer->sample(secret);
         std::printf("  transmitted %d -> %7.1f us on the 5 us clock, "
                     "decoded %d %s\n",
                     secret ? 1 : 0, sample.ns / 1e3, sample.bit ? 1 : 0,
@@ -49,12 +51,12 @@ main()
     ParamSet bare_params;
     bare_params.set("slow_ops", "60");
     bare_params.set("fast_ops", "5");
-    auto bare =
-        GadgetRegistry::instance().make("coarse_timer", bare_params);
-    bare->calibrate(machine);
+    auto bare = GadgetRegistry::instance().make("coarse_timer", machine,
+                                                bare_params);
+    bare->calibrate();
     int correct = 0;
     for (bool secret : {false, true, true, false})
-        correct += bare->sample(machine, secret).bit == secret ? 1 : 0;
+        correct += bare->sample(secret).bit == secret ? 1 : 0;
     std::printf("\nbare coarse_timer on the same bits: %d/4 decoded "
                 "correctly — magnification is the whole game.\n",
                 correct);

@@ -35,7 +35,7 @@ struct AnalyzeOptions
     int jobs = 1;
     bool validate = true;   ///< cross-validate on pooled machines
     bool capacity = false;  ///< QIF capacity bounds instead of classes
-    ParamSet params;        ///< forwarded to gadget configure()
+    ParamSet params;        ///< forwarded to GadgetRegistry::make
 };
 
 /** Run the analyzer over the resolved target set. Fatal (throws) on

@@ -27,11 +27,9 @@ analyzeGadgetCapacity(const std::string &name, const std::string &profile,
     const MachineConfig config =
         machineConfigForProfile(report.profile);
     try {
-        std::unique_ptr<TimingSource> source =
-            GadgetRegistry::instance().make(info.name, params);
         MachinePool machines(config);
-        GadgetRecording recording =
-            recordGadgetFootprints(*source, machines, config);
+        GadgetRecording recording = recordGadgetFootprints(
+            info.name, params, machines.lease(), config);
         if (recording.status != "ok") {
             report.status = recording.status;
             return report;

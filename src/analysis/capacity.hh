@@ -51,7 +51,7 @@ struct CapacityReport
 /**
  * Bound a registered gadget's per-trial capacity over the {fast,
  * slow} polarity domain on @p profile (empty = the gadget's default
- * analysis profile). @p params forward to the gadget's configure().
+ * analysis profile). @p params forward to GadgetRegistry::make.
  */
 CapacityReport analyzeGadgetCapacity(const std::string &name,
                                      const std::string &profile,

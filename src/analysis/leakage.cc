@@ -72,35 +72,36 @@ foldTrialTrace(const TrialTrace &trace, const MachineConfig &config)
 }
 
 GadgetRecording
-recordGadgetFootprints(TimingSource &source, MachinePool &machines,
+recordGadgetFootprints(const std::string &gadget, const ParamSet &params,
+                       const MachinePool::Lease &lease,
                        const MachineConfig &config)
 {
     GadgetRecording recording;
-    {
-        MachinePool::Lease lease = machines.lease();
-        if (!source.compatible(lease.machine())) {
-            recording.status = "incompatible";
-            return recording;
-        }
-        try {
-            source.calibrate(lease.machine());
-            source.sample(lease.machine(), false);
-            source.sample(lease.machine(), true);
-        } catch (const std::exception &) {
-            recording.status = "calib_fail";
-            return recording;
-        }
+    Machine &machine = lease.machine();
+    std::unique_ptr<TimingSource> source =
+        GadgetRegistry::instance().make(gadget, machine, params);
+    if (!source) {
+        recording.status = "incompatible";
+        return recording;
+    }
+    try {
+        source->calibrate();
+        source->sample(false);
+        source->sample(true);
+    } catch (const std::exception &) {
+        recording.status = "calib_fail";
+        return recording;
     }
     for (int polarity = 0; polarity < 2; ++polarity) {
-        MachinePool::Lease lease = machines.lease();
-        Machine &machine = lease.machine();
+        lease.restore();
         TrialTrace trace;
         machine.beginRecord(trace);
-        source.sample(machine, polarity == 1);
+        source->sample(polarity == 1);
         machine.endRecord();
         recording.opaque |= trace.opaque;
         recording.footprint[polarity] = foldTrialTrace(trace, config);
     }
+    recording.source = std::move(source);
     return recording;
 }
 
@@ -200,11 +201,9 @@ defaultAnalysisProfile(const std::string &gadget)
 {
     static const char *kCandidates[] = {"default", "plru", "smt2",
                                         "smt2_plru"};
-    std::unique_ptr<TimingSource> source =
-        GadgetRegistry::instance().make(gadget);
     for (const char *profile : kCandidates) {
         Machine machine(machineConfigForProfile(profile));
-        if (source->compatible(machine))
+        if (GadgetRegistry::instance().make(gadget, machine))
             return profile;
     }
     return "smt2_plru";
@@ -224,24 +223,24 @@ analyzeGadget(const std::string &name, const std::string &profile,
     const MachineConfig config =
         machineConfigForProfile(report.profile);
 
-    // Record and validate on the SAME pooled machine: sources bind
-    // lazily per machine serial and fold one-time calibration work
-    // into their first samples on a new machine, so a priming lease
-    // (calibrate + one throwaway sample per polarity) is what makes
-    // the recorded traces the source's steady-state behaviour — the
-    // behaviour channels actually run.
+    // Record and validate on ONE leased machine: the source is bound
+    // to it and folds one-time calibration work into its first
+    // samples, so priming it there (calibrate + one throwaway sample
+    // per polarity) and restoring the lease's base state before each
+    // recorded or validated sample is what makes those samples the
+    // source's steady-state behaviour — the behaviour channels run.
     std::unique_ptr<MachinePool> own_pool;
     MachinePool *machines = pool;
     if (machines == nullptr) {
         own_pool = std::make_unique<MachinePool>(config);
         machines = own_pool.get();
     }
+    const MachinePool::Lease lease = machines->lease();
 
     std::unique_ptr<TimingSource> source;
     try {
-        source = GadgetRegistry::instance().make(info.name, params);
         GadgetRecording recording =
-            recordGadgetFootprints(*source, *machines, config);
+            recordGadgetFootprints(info.name, params, lease, config);
         if (recording.status != "ok") {
             report.status = recording.status;
             return report;
@@ -249,6 +248,7 @@ analyzeGadget(const std::string &name, const std::string &profile,
         report.opaque = recording.opaque;
         report.footprint[0] = std::move(recording.footprint[0]);
         report.footprint[1] = std::move(recording.footprint[1]);
+        source = std::move(recording.source);
     } catch (const std::exception &e) {
         report.status = std::string("error: ") + e.what();
         return report;
@@ -260,11 +260,11 @@ analyzeGadget(const std::string &name, const std::string &profile,
         ValidationResult &v = report.validation;
         v.ran = true;
         try {
+            Machine &machine = lease.machine();
             for (int polarity = 0; polarity < 2; ++polarity) {
-                MachinePool::Lease lease = pool->lease();
-                Machine &machine = lease.machine();
+                lease.restore();
                 const Cycle start = machine.now();
-                source->sample(machine, polarity == 1);
+                source->sample(polarity == 1);
                 machine.settle();
                 const Observed obs = observe(machine);
                 v.observedAccesses[polarity] = obs.accesses;

@@ -35,6 +35,7 @@
 #define HR_ANALYSIS_LEAKAGE_HH
 
 #include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -42,13 +43,13 @@
 #include "analysis/footprint.hh"
 #include "analysis/taint.hh"
 #include "exp/machine_pool.hh"
+#include "gadgets/timing_source.hh"
 #include "isa/program.hh"
 #include "util/params.hh"
 
 namespace hr
 {
 
-class TimingSource;
 struct TrialTrace;
 
 /**
@@ -68,17 +69,22 @@ struct GadgetRecording
     std::string status = "ok"; ///< ok | incompatible | calib_fail
     bool opaque = false; ///< a recording went opaque (approximate)
     CacheFootprint footprint[2]; ///< [0] = fast, [1] = slow polarity
+    /** The primed source, bound to the lease's machine (null unless ok). */
+    std::unique_ptr<TimingSource> source;
 };
 
 /**
- * Prime @p source on @p machines (calibrate + one throwaway sample
- * per polarity, so lazy rebinding and one-time calibration work are
- * absorbed before recording) and record one steady-state sample()
- * per polarity, folding each trace through foldTrialTrace. Gadget
- * errors beyond incompatibility/calibration propagate as exceptions.
+ * Build @p gadget with @p params on the leased machine, prime it
+ * (calibrate + one throwaway sample per polarity, so one-time
+ * calibration work is absorbed before recording), then record one
+ * steady-state sample() per polarity — each from the pool's base
+ * state (Lease::restore) — folding each trace through foldTrialTrace.
+ * Gadget errors beyond incompatibility/calibration propagate as
+ * exceptions.
  */
-GadgetRecording recordGadgetFootprints(TimingSource &source,
-                                       MachinePool &machines,
+GadgetRecording recordGadgetFootprints(const std::string &gadget,
+                                       const ParamSet &params,
+                                       const MachinePool::Lease &lease,
                                        const MachineConfig &config);
 
 /** Outcome of the dynamic cross-validation of one static report. */
@@ -116,8 +122,7 @@ struct LeakageReport
 /**
  * Statically analyze a registered gadget on @p profile, optionally
  * cross-validating against real execution on @p pool (pass nullptr to
- * skip validation). @p params are forwarded to the gadget's
- * configure().
+ * skip validation). @p params are forwarded to GadgetRegistry::make.
  */
 LeakageReport analyzeGadget(const std::string &name,
                             const std::string &profile,

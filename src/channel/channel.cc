@@ -120,12 +120,12 @@ ChannelStats::shannonBitsPerSec() const
                        : 0.0;
 }
 
-Channel::Channel(ChannelConfig config)
-    : config_(std::move(config)),
-      modulator_(GadgetRegistry::instance().make(config_.gadget,
-                                                 config_.gadgetParams),
-                 config_.modulation)
+Channel::Channel(ChannelConfig config) : config_(std::move(config))
 {
+    const GadgetInfo &gadget =
+        GadgetRegistry::instance().resolve(config_.gadget);
+    config_.gadgetParams.requireKeys(GadgetRegistry::paramKeys(gadget),
+                                     "gadget '" + gadget.name + "'");
     fatalIf(config_.frames < 1, "channel: frames must be >= 1");
     fatalIf(config_.calibrationRounds < 1,
             "channel: calibration rounds must be >= 1");
@@ -133,17 +133,35 @@ Channel::Channel(ChannelConfig config)
     (void)noiseWorkload(config_.noise);    // validate the noise name
 }
 
+void
+Channel::bind(Machine &machine)
+{
+    demod_ = Demodulator();
+    std::unique_ptr<TimingSource> source = GadgetRegistry::instance().make(
+        config_.gadget, machine, config_.gadgetParams);
+    modulator_ = source ? std::make_unique<Modulator>(std::move(source),
+                                                      config_.modulation)
+                        : nullptr;
+}
+
 bool
-Channel::compatible(const Machine &machine) const
+Channel::compatible(Machine &machine)
 {
     if (config_.noise != "idle" && machine.contexts() < 2)
         return false;
-    return modulator_.compatible(machine);
+    bind(machine);
+    builtBy_ = &machine;
+    return modulator_ != nullptr;
 }
 
 void
 Channel::prepare(Machine &machine)
 {
+    if (builtBy_ != &machine)
+        bind(machine);
+    builtBy_ = nullptr;
+    fatalIf(!modulator_, "channel: gadget " + config_.gadget +
+                             " cannot run on this machine");
     if (machine.contexts() >= 2 && config_.noise != "idle") {
         // The neighbor co-runs inside every symbol's machine run, so
         // calibration below sees the same contention transmission
@@ -152,14 +170,24 @@ Channel::prepare(Machine &machine)
         // sibling workload) instead of clearing context 1.
         installNoise(machine, 1, config_.noise, config_.noiseParams);
     }
-    demod_.calibrate(machine, modulator_, config_.calibrationRounds);
+    demod_.calibrate(*modulator_, config_.calibrationRounds);
+}
+
+void
+Channel::requirePrepared(const Machine &machine, const char *who) const
+{
+    fatalIf(!demod_.calibrated(),
+            std::string("channel: ") + who + " before prepare");
+    fatalIf(&modulator_->source().machine() != &machine,
+            std::string("channel: ") + who +
+                " on a machine other than the prepared one");
 }
 
 ChannelStats
 Channel::run(Machine &machine, const std::vector<bool> &payload)
 {
     HR_TRACE_SCOPE("channel", "channel.run");
-    fatalIf(!demod_.calibrated(), "channel: run before prepare");
+    requirePrepared(machine, "run");
     const int frame_payload = config_.frame.payloadBits;
     const int frames =
         payload.empty()
@@ -188,8 +216,7 @@ Channel::run(Machine &machine, const std::vector<bool> &payload)
         // Transmit the frame symbol by symbol; the demodulator's
         // hard decisions are all the receiver keeps.
         for (bool bit : encodeFrame(config_.frame, chunk)) {
-            const SymbolReading symbol =
-                modulator_.transmit(machine, bit);
+            const SymbolReading symbol = modulator_->transmit(bit);
             const bool decoded = demod_.decide(symbol.reading);
             received_bits.push_back(decoded);
             ++stats.symbolsSent;
@@ -252,12 +279,11 @@ ChannelStats
 Channel::measureSymbols(Machine &machine,
                         const std::vector<bool> &symbols)
 {
-    fatalIf(!demod_.calibrated(),
-            "channel: measureSymbols before prepare");
+    requirePrepared(machine, "measureSymbols");
     ChannelStats stats;
     const Cycle t0 = machine.now();
     for (bool bit : symbols) {
-        const SymbolReading symbol = modulator_.transmit(machine, bit);
+        const SymbolReading symbol = modulator_->transmit(bit);
         const bool decoded = demod_.decide(symbol.reading);
         ++stats.symbolsSent;
         stats.symbolErrors += decoded != bit ? 1 : 0;

@@ -23,6 +23,7 @@
 #define HR_CHANNEL_CHANNEL_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,7 @@ namespace hr
 struct ChannelConfig
 {
     std::string gadget;      ///< GadgetRegistry name of the source
-    ParamSet gadgetParams;   ///< forwarded to TimingSource::configure
+    ParamSet gadgetParams;   ///< forwarded to GadgetRegistry::make
     Modulation modulation = Modulation::Ook;
     FrameConfig frame;
     int frames = 2;          ///< frames per run() transmission
@@ -93,20 +94,24 @@ struct ChannelStats
 class Channel
 {
   public:
-    /** Builds the modulator from the gadget registry. */
+    /** Validates the gadget name and its parameter keys. */
     explicit Channel(ChannelConfig config);
 
     const ChannelConfig &config() const { return config_; }
-    const Modulator &modulator() const { return modulator_; }
     const Demodulator &demodulator() const { return demod_; }
 
-    /** True if the gadget/scheme/noise combination runs on @p machine. */
-    bool compatible(const Machine &machine) const;
+    /**
+     * True if the gadget/scheme/noise combination runs on @p machine.
+     * Builds the gadget there; a prepare() on the same machine that
+     * follows reuses it instead of building it again.
+     */
+    bool compatible(Machine &machine);
 
     /**
-     * Install the configured noise neighbor (contexts >= 2) and
-     * calibrate the demodulator on @p machine. Call once per leased
-     * machine before run().
+     * Build the gadget on @p machine (unless compatible() just did),
+     * install the configured noise neighbor (contexts >= 2), and
+     * calibrate the demodulator. Call once per leased machine before
+     * run(); fatal if the gadget cannot run on @p machine.
      */
     void prepare(Machine &machine);
 
@@ -134,8 +139,16 @@ class Channel
 
   private:
     ChannelConfig config_;
-    Modulator modulator_;
+    std::unique_ptr<Modulator> modulator_; ///< null: cannot run there
+    /** The machine compatible() built modulator_ on, until prepare(). */
+    Machine *builtBy_ = nullptr;
     Demodulator demod_;
+
+    /** Build the modulator's gadget on @p machine. */
+    void bind(Machine &machine);
+
+    /** Fatal unless prepare() ran on @p machine. */
+    void requirePrepared(const Machine &machine, const char *who) const;
 };
 
 } // namespace hr

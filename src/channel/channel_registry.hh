@@ -20,8 +20,8 @@
  *   noise_lines   noise working-set size in cache lines
  *   noise_unroll  pointer-chase steps per loop iteration
  *
- * Any other key is forwarded to the gadget's configure() and validated
- * against the gadget's documented parameter list.
+ * Any other key is forwarded to the gadget (GadgetRegistry::make) and
+ * validated against the gadget's documented parameter list.
  */
 
 #ifndef HR_CHANNEL_CHANNEL_REGISTRY_HH

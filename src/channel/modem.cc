@@ -35,22 +35,14 @@ Modulator::Modulator(std::unique_ptr<TimingSource> source,
                 source_->name() + " is not one");
 }
 
-bool
-Modulator::compatible(const Machine &machine) const
-{
-    if (scheme_ == Modulation::Rs2 && !source_->isAmplifier())
-        return false;
-    return source_->compatible(machine);
-}
-
 SymbolReading
-Modulator::transmit(Machine &machine, bool bit)
+Modulator::transmit(bool bit)
 {
     SymbolReading symbol;
     if (scheme_ == Modulation::Ook) {
         // The source performs one complete encode+measure observation;
         // its own reading (ns or a contention count) is the symbol.
-        const TimingSample s = source_->sample(machine, bit);
+        const TimingSample s = source_->sample(bit);
         symbol.reading = s.ns;
         symbol.cycles = s.cycles;
         return symbol;
@@ -58,17 +50,18 @@ Modulator::transmit(Machine &machine, bool bit)
     // rs2: the transmitter writes the bit into replacement state, the
     // receiver stretches that state into a duration. Between the two
     // halves the bit exists only in the shared hierarchy (the medium).
+    Machine &machine = source_->machine();
     const Cycle t0 = machine.now();
-    source_->prepare(machine);
-    source_->forceInput(machine, /*slow=*/bit);
-    const Cycle amplified = source_->amplify(machine);
+    source_->prepare();
+    source_->forceInput(/*slow=*/bit);
+    const Cycle amplified = source_->amplify();
     symbol.reading = machine.toNs(amplified);
     symbol.cycles = machine.now() - t0;
     return symbol;
 }
 
 void
-Demodulator::calibrate(Machine &machine, Modulator &modulator, int rounds)
+Demodulator::calibrate(Modulator &modulator, int rounds)
 {
     fatalIf(rounds < 1, "Demodulator: calibration rounds must be >= 1");
     // Lenient on purpose: an inseparable channel (the bare coarse
@@ -76,7 +69,7 @@ Demodulator::calibrate(Machine &machine, Modulator &modulator, int rounds)
     calibration_ = calibrateThresholdLenient([&](bool slow) {
         double total = 0;
         for (int round = 0; round < rounds; ++round)
-            total += modulator.transmit(machine, slow).reading;
+            total += modulator.transmit(slow).reading;
         return total / rounds;
     });
     // Learn the polarity instead of assuming slow-means-one: some

@@ -61,23 +61,24 @@ struct SymbolReading
     Cycle cycles = 0;     ///< simulated cycles the symbol occupied
 };
 
-/** Drives one TimingSource as the channel's symbol transmitter. */
+/**
+ * Drives one TimingSource as the channel's symbol transmitter, on the
+ * machine the source is bound to.
+ */
 class Modulator
 {
   public:
+    /** Fatal if @p scheme is rs2 and @p source is not an amplifier. */
     Modulator(std::unique_ptr<TimingSource> source, Modulation scheme);
 
     const TimingSource &source() const { return *source_; }
     Modulation scheme() const { return scheme_; }
 
-    /** True if the scheme/source pair can run on this machine. */
-    bool compatible(const Machine &machine) const;
-
     /**
-     * Transmit one symbol: encode @p bit into the machine and return
-     * the receiver's raw observable for it.
+     * Transmit one symbol: encode @p bit into the source's machine and
+     * return the receiver's raw observable for it.
      */
-    SymbolReading transmit(Machine &machine, bool bit);
+    SymbolReading transmit(bool bit);
 
   private:
     std::unique_ptr<TimingSource> source_;
@@ -98,11 +99,11 @@ class Demodulator
 {
   public:
     /**
-     * Two-point calibration through @p modulator on @p machine:
-     * @p rounds observations per polarity, decided against the
-     * midpoint of the per-polarity means.
+     * Two-point calibration through @p modulator: @p rounds
+     * observations per polarity, decided against the midpoint of the
+     * per-polarity means.
      */
-    void calibrate(Machine &machine, Modulator &modulator, int rounds = 2);
+    void calibrate(Modulator &modulator, int rounds = 2);
 
     bool calibrated() const { return calibrated_; }
 

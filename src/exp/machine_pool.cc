@@ -25,11 +25,11 @@ MachinePool::lease()
         }
     }
     if (slot) {
-        HR_TRACE_SCOPE("pool", "pool.restore");
         metrics().poolLeases.add();
         metrics().poolLeasesReused.add();
-        slot->machine->restore(slot->base);
-        return Lease(*this, std::move(slot));
+        Lease lease(*this, std::move(slot));
+        lease.restore();
+        return lease;
     }
     // Construct outside the lock so warmups run concurrently.
     HR_TRACE_SCOPE("pool", "pool.build");
@@ -58,6 +58,13 @@ MachinePool::decodeCache() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return sharedCache_;
+}
+
+void
+MachinePool::Lease::restore() const
+{
+    HR_TRACE_SCOPE("pool", "pool.restore");
+    slot_->machine->restore(slot_->base);
 }
 
 MachinePool::Lease::~Lease()

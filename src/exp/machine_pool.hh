@@ -58,6 +58,13 @@ class MachinePool
         Machine &machine() const { return *slot_->machine; }
         Machine *operator->() const { return slot_->machine.get(); }
 
+        /**
+         * Reset the leased machine to the pool's base state again —
+         * what the next lease of it would start from — without giving
+         * it up (so sources bound to it stay usable).
+         */
+        void restore() const;
+
         Lease(Lease &&) = default;
         Lease &operator=(Lease &&) = delete;
         ~Lease();

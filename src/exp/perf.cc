@@ -96,8 +96,10 @@ racingObservation(Machine &machine)
     ParamSet params;
     params.set("slow_ops", "20");
     params.set("ref_ops", "20");
-    auto race = GadgetRegistry::instance().make("pa_race", params);
-    return race->sample(machine, true).bit;
+    return GadgetRegistry::instance()
+        .make("pa_race", machine, params)
+        ->sample(true)
+        .bit;
 }
 
 /** Warm caches and predictor so snapshots carry non-trivial state. */

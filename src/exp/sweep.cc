@@ -289,15 +289,15 @@ runSweep(const SweepOptions &options)
                 // with different seeds are independent replicates.
                 ScenarioContext::reseedMachine(machine, base_config,
                                                ctx.indexSeed(index));
-                auto source =
-                    GadgetRegistry::instance().make(gadget.name, params);
-                if (!source->compatible(machine)) {
+                auto source = GadgetRegistry::instance().make(
+                    gadget.name, machine, params);
+                if (!source) {
                     row.status = "incompatible";
                     return row;
                 }
-                source->calibrate(machine);
-                const PolarityStats stats = measurePolarities(
-                    *source, machine, options.trials);
+                source->calibrate();
+                const PolarityStats stats =
+                    measurePolarities(*source, options.trials);
                 row.fastCycles = stats.fastCycles;
                 row.slowCycles = stats.slowCycles;
                 row.deltaUs = machine.toUs(static_cast<Cycle>(

@@ -7,7 +7,7 @@ namespace hr
 
 ArbitraryMagnifier::ArbitraryMagnifier(
     Machine &machine, const ArbitraryMagnifierConfig &config)
-    : machine_(machine), config_(config)
+    : Amplifier(machine), config_(config)
 {
     const auto &l1 = machine_.hierarchy().l1().config();
     fatalIf(config_.numSets <= 0 || config_.numSets > l1.numSets,
@@ -158,6 +158,22 @@ ArbitraryMagnifier::traverse()
 {
     RunResult result = machine_.run(program_);
     return result.cycles();
+}
+
+void
+ArbitraryMagnifier::forceInput(bool slow)
+{
+    if (slow)
+        machine_.flushLine(config_.inputAddr);
+    else
+        machine_.warm(config_.inputAddr, 1);
+}
+
+Cycle
+ArbitraryMagnifier::amplify()
+{
+    machine_.flushLine(config_.syncAddr);
+    return traverse();
 }
 
 Cycle

@@ -18,7 +18,7 @@
 #ifndef HR_GADGETS_ARBITRARY_MAGNIFIER_HH
 #define HR_GADGETS_ARBITRARY_MAGNIFIER_HH
 
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -54,8 +54,12 @@ struct ArbitraryMagnifierConfig
     int parTagBase = 4096;        ///< tag space for PAR lines
 };
 
-/** The magnifier. Requires numSets <= the L1 set count. */
-class ArbitraryMagnifier
+/**
+ * The magnifier. Requires numSets <= the L1 set count. As a
+ * TimingSource (registry name arbitrary_magnifier) its input is
+ * PathB's head line: present = aligned = no chain reaction = fast.
+ */
+class ArbitraryMagnifier : public Amplifier
 {
   public:
     ArbitraryMagnifier(Machine &machine,
@@ -82,13 +86,26 @@ class ArbitraryMagnifier
 
     /**
      * Run the traversal over the current cache state (prime() and the
-     * input line's presence/absence are the caller's business — this
-     * is the amplify step of a composed pipeline).
+     * input line's presence/absence are the caller's business).
      */
     Cycle traverse();
 
+    std::string name() const override { return "arbitrary_magnifier"; }
+    void prepare() override { prime(); }
+    std::pair<Addr, Addr> inputLines() override
+    {
+        return {config_.inputAddr, 0};
+    }
+    bool presentMeansSlow() const override { return false; }
+    void forceInput(bool slow) override;
+
+    /**
+     * Flush the sync line (an encoder's racing program may have
+     * warmed it), then traverse: the amplify step of a pipeline.
+     */
+    Cycle amplify() override;
+
   private:
-    Machine &machine_;
     ArbitraryMagnifierConfig config_;
     Program program_;
     RegId parBaseReg_ = kNoReg;

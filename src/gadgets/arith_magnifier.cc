@@ -7,7 +7,7 @@ namespace hr
 
 ArithMagnifier::ArithMagnifier(Machine &machine,
                                const ArithMagnifierConfig &config)
-    : machine_(machine), config_(config)
+    : Amplifier(machine), config_(config)
 {
     const auto &core = machine_.config().core;
     fatalIf(config_.divChain <= 0 || config_.parDivs <= 0,
@@ -81,6 +81,23 @@ ArithMagnifier::traverse()
 {
     RunResult result = machine_.run(program_);
     return result.cycles();
+}
+
+void
+ArithMagnifier::forceInput(bool slow)
+{
+    // Input present = PathB aligned with PathA = fast.
+    if (slow)
+        machine_.flushLine(config_.inputAddr);
+    else
+        machine_.warm(config_.inputAddr, 1);
+}
+
+Cycle
+ArithMagnifier::amplify()
+{
+    prepare();
+    return traverse();
 }
 
 Cycle

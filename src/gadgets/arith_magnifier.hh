@@ -15,7 +15,7 @@
 #ifndef HR_GADGETS_ARITH_MAGNIFIER_HH
 #define HR_GADGETS_ARITH_MAGNIFIER_HH
 
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -38,8 +38,12 @@ struct ArithMagnifierConfig
     Addr alignAddrA = 0x310'0000; ///< PathA head: always present
 };
 
-/** The magnifier. MUL chain length is derived from the FU latencies. */
-class ArithMagnifier
+/**
+ * The magnifier. MUL chain length is derived from the FU latencies.
+ * As a TimingSource (registry name arith_magnifier) its input is
+ * PathB's head line: present = aligned = fast.
+ */
+class ArithMagnifier : public Amplifier
 {
   public:
     ArithMagnifier(Machine &machine, const ArithMagnifierConfig &config);
@@ -58,8 +62,23 @@ class ArithMagnifier
     /** Cycle delta between absent and present inputs. */
     Cycle measureDelta();
 
+    std::string name() const override { return "arith_magnifier"; }
+
     /** Warm PathA's head, chill the sync line (before each run). */
-    void prepare();
+    void prepare() override;
+
+    std::pair<Addr, Addr> inputLines() override
+    {
+        return {config_.inputAddr, 0};
+    }
+    bool presentMeansSlow() const override { return false; }
+    void forceInput(bool slow) override;
+
+    /**
+     * Re-chill the sync line (an encoder's program may have warmed it;
+     * prepare() is idempotent and input-preserving), then traverse.
+     */
+    Cycle amplify() override;
 
     /**
      * Run the racing stages over the current cache state (prepare()
@@ -69,7 +88,6 @@ class ArithMagnifier
     Cycle traverse();
 
   private:
-    Machine &machine_;
     ArithMagnifierConfig config_;
     int mulChain_;
     int addBuffer_;

@@ -1,21 +1,19 @@
 /**
  * @file
- * Self-registering string-keyed gadget registry.
+ * String-keyed gadget registry.
  *
  * Mirrors ScenarioRegistry and machineProfiles(): every TimingSource
- * is constructible by a stable string name, so scenarios, examples,
- * and the `hr_bench gadgets` / `hr_bench sweep` commands select
- * timing primitives without compile-time coupling to their concrete
- * classes. A new timer variant is one registration away:
+ * is constructible by a stable string name on a given Machine, so
+ * scenarios, examples, and the `hr_bench gadgets` / `hr_bench sweep`
+ * commands select timing primitives without compile-time coupling to
+ * their concrete classes. Each entry's factory parses the ParamSet
+ * straight into the gadget's own config struct and returns nullptr
+ * when the gadget cannot run on the machine (wrong replacement policy,
+ * associativity, set count, or too few hardware contexts).
  *
- *     HR_REGISTER_GADGET(MySource, "my_source", "amplifier",
- *                        "repeats,set", "what it measures");
- *
- * The library's built-in sources register from an explicitly anchored
- * translation unit (see registerBuiltinSources), so they survive
- * static-archive dead stripping; the macro serves out-of-library
- * extensions (benchmark or test translation units that are anchored
- * by other means).
+ * The built-in sources register from GadgetRegistry::instance() itself
+ * (an explicit call, not static initializers), so a static-archive
+ * link can never drop them.
  */
 
 #ifndef HR_GADGETS_GADGET_REGISTRY_HH
@@ -27,6 +25,7 @@
 #include <vector>
 
 #include "gadgets/timing_source.hh"
+#include "util/params.hh"
 
 namespace hr
 {
@@ -38,7 +37,10 @@ struct GadgetInfo
     std::string kind;        ///< encoder | amplifier | timer | composite
     std::string params;      ///< documented parameter keys
     std::string description; ///< one-line human summary
-    std::function<std::unique_ptr<TimingSource>()> factory;
+    /** Build on a machine from (declared) params; nullptr: can't run. */
+    std::function<std::unique_ptr<TimingSource>(Machine &,
+                                                 const ParamSet &)>
+        factory;
 };
 
 /** Global name -> TimingSource factory registry (sorted listing). */
@@ -61,10 +63,13 @@ class GadgetRegistry
     const GadgetInfo &resolve(const std::string &name) const;
 
     /**
-     * Construct and configure a source by name (exact or unique
-     * prefix). @p params are applied via TimingSource::configure.
+     * Construct a source by name (exact or unique prefix) bound to
+     * @p machine, configured by @p params. Fatal on an undeclared key
+     * or an invalid value; nullptr if the gadget cannot run on
+     * @p machine.
      */
     std::unique_ptr<TimingSource> make(const std::string &name,
+                                       Machine &machine,
                                        const ParamSet &params = {}) const;
 
     /** All registered gadgets, sorted by name. */
@@ -76,20 +81,6 @@ class GadgetRegistry
   private:
     std::vector<GadgetInfo> gadgets_;
 };
-
-/** Static-init helper used by HR_REGISTER_GADGET. */
-struct GadgetRegistrar
-{
-    GadgetRegistrar(std::string name, std::string kind,
-                    std::string params, std::string description,
-                    std::function<std::unique_ptr<TimingSource>()> factory);
-};
-
-#define HR_REGISTER_GADGET(Type, name, kind, params, description)          \
-    static ::hr::GadgetRegistrar hrGadgetRegistrar_##Type{                 \
-        name, kind, params, description,                                   \
-        [] { return std::unique_ptr<::hr::TimingSource>(                   \
-                 std::make_unique<Type>()); }}
 
 } // namespace hr
 

@@ -7,7 +7,7 @@ namespace hr
 {
 
 HackyTimer::HackyTimer(Machine &machine, const HackyTimerConfig &config)
-    : machine_(machine), config_(config), coarse_(config.timer)
+    : TimingSource(machine), config_(config), coarse_(config.timer)
 {
     fatalIf(config_.timer.ghz != machine_.config().ghz,
             "HackyTimer: timer clock must match the machine clock");
@@ -71,6 +71,23 @@ HackyTimer::calibrate()
                        },
                        "HackyTimer::calibrate")
                        .thresholdNs;
+}
+
+TimingSample
+HackyTimer::sample(bool secret)
+{
+    if (thresholdNs_ < 0)
+        calibrate();
+    if (secret)
+        machine_.flushLine(kScratch);
+    else
+        machine_.warm(kScratch, 1);
+    const Cycle t0 = machine_.now();
+    TimingSample s;
+    s.bit = loadIsSlow(kScratch);
+    s.cycles = machine_.now() - t0;
+    s.ns = machine_.toNs(s.cycles);
+    return s;
 }
 
 bool

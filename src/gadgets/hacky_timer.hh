@@ -48,11 +48,17 @@ struct HackyTimerStats
  * A one-shot comparator: "did this load take longer than the reference
  * path?" — which, with a suitable refOps, distinguishes an L1 hit from
  * an LLC hit or miss. Requires a machine with a 4-way tree-PLRU L1.
+ *
+ * As a TimingSource (registry name hacky_timer) sample(secret) times a
+ * scratch line that is cold (secret) or L1-resident, and calibrates
+ * itself on its first uncalibrated sample.
  */
-class HackyTimer
+class HackyTimer : public TimingSource
 {
   public:
     HackyTimer(Machine &machine, const HackyTimerConfig &config);
+
+    std::string name() const override { return "hacky_timer"; }
 
     const HackyTimerConfig &config() const { return config_; }
     const HackyTimerStats &stats() const { return stats_; }
@@ -62,7 +68,10 @@ class HackyTimer
      * magnifier in both known states (attacker-feasible: they control
      * a scratch line's cache state).
      */
-    void calibrate();
+    void calibrate() override;
+
+    /** Time the scratch line: cold if @p secret, else L1-resident. */
+    TimingSample sample(bool secret) override;
 
     /** Threshold (ns of magnifier time) separating slow from fast. */
     double thresholdNs() const { return thresholdNs_; }
@@ -82,7 +91,8 @@ class HackyTimer
     bool exprIsSlow(const TargetExpr &expr);
 
   private:
-    Machine &machine_;
+    static constexpr Addr kScratch = 0x500'0000;
+
     HackyTimerConfig config_;
     CoarseTimer coarse_;
     PlruMagnifierConfig magConfig_;

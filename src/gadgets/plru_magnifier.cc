@@ -8,7 +8,7 @@ namespace hr
 PlruMagnifier::PlruMagnifier(Machine &machine,
                              const PlruMagnifierConfig &config,
                              PlruVariant variant)
-    : machine_(machine), config_(config), variant_(variant)
+    : Amplifier(machine), config_(config), variant_(variant)
 {
     const auto &l1 = machine_.hierarchy().l1().config();
     fatalIf(l1.assoc != 4,
@@ -26,6 +26,28 @@ PlruMagnifier::PlruMagnifier(Machine &machine,
                 "PlruMagnifier: lines must be distinct");
     }
     buildTraverseProgram();
+}
+
+std::string
+PlruMagnifier::name() const
+{
+    return variant_ == PlruVariant::PresenceAbsence
+               ? "plru_pa_magnifier"
+               : "plru_reorder_magnifier";
+}
+
+void
+PlruMagnifier::forceInput(bool slow)
+{
+    if (variant_ == PlruVariant::PresenceAbsence) {
+        // Slow: A present (fetched into L1). Fast: A stays in L2.
+        if (slow)
+            machine_.warm(config_.a, 1);
+        return;
+    }
+    // Reorder: slow iff A is inserted before B.
+    machine_.warm(slow ? config_.a : config_.b, 1);
+    machine_.warm(slow ? config_.b : config_.a, 1);
 }
 
 std::vector<Addr>

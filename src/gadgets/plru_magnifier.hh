@@ -15,7 +15,7 @@
 
 #include <vector>
 
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -48,15 +48,28 @@ struct MagnifierResult
 /**
  * The PLRU magnifier. Requires a 4-way L1 (the paper's W = 4 example;
  * use MachineConfig with a 4-way L1, e.g. plruProfile()). For other
- * associativities see PlruPinPatternFinder.
+ * associativities see PinPatternMagnifier.
+ *
+ * As a TimingSource (registry names plru_pa_magnifier and
+ * plru_reorder_magnifier) the input line(s) are A (P/A variant) or
+ * A then B (reorder variant): present / A-first reads slow.
  */
-class PlruMagnifier
+class PlruMagnifier : public Amplifier
 {
   public:
     PlruMagnifier(Machine &machine, const PlruMagnifierConfig &config,
                   PlruVariant variant);
 
     const PlruMagnifierConfig &config() const { return config_; }
+
+    std::string name() const override;
+    void prepare() override { prime(); }
+    std::pair<Addr, Addr> inputLines() override
+    {
+        return {config_.a, config_.b};
+    }
+    void forceInput(bool slow) override;
+    Cycle amplify() override { return traverse().cycles; }
 
     /**
      * Establish the Fig. 3(1) initial state: the set holds {B,C,D,E}
@@ -90,7 +103,6 @@ class PlruMagnifier
                                           int tag_base = 16);
 
   private:
-    Machine &machine_;
     PlruMagnifierConfig config_;
     PlruVariant variant_;
     Program traverseProgram_;

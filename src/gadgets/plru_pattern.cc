@@ -5,6 +5,7 @@
 #include <optional>
 #include <queue>
 
+#include "gadgets/plru_magnifier.hh"
 #include "util/log.hh"
 
 namespace hr
@@ -281,6 +282,52 @@ validatePinPattern(int assoc, const PinPattern &pattern, int periods)
             last_period_misses += without_a.access(line) ? 1 : 0;
     }
     return last_period_misses == 0;
+}
+
+PinPatternMagnifier::PinPatternMagnifier(
+    Machine &machine, const PinPatternMagnifierConfig &config,
+    const PinPattern &pattern)
+    : Amplifier(machine)
+{
+    const int assoc = machine_.hierarchy().l1().config().assoc;
+    // Line ids 0 (pinned) .. W+1 (the search alphabet's spare).
+    lines_ = PlruMagnifier::sameSetLines(machine_, config.set, assoc + 2,
+                                         config.tagBase);
+    ProgramBuilder builder("plru_pin_magnify");
+    RegId r = builder.movImm(0);
+    for (int line : pattern.leadIn)
+        builder.loadOrderedInto(r, lines_[static_cast<std::size_t>(line)]);
+    for (int rep = 0; rep < config.repeats; ++rep)
+        for (int line : pattern.accesses)
+            builder.loadOrderedInto(
+                r, lines_[static_cast<std::size_t>(line)]);
+    builder.halt();
+    program_ = builder.take();
+}
+
+void
+PinPatternMagnifier::prepare()
+{
+    for (Addr addr : lines_)
+        machine_.flushLine(addr);
+    const int assoc = machine_.hierarchy().l1().config().assoc;
+    for (int line = 1; line <= assoc; ++line)
+        machine_.warm(lines_[static_cast<std::size_t>(line)], 1);
+    machine_.warm(lines_[static_cast<std::size_t>(assoc - 1)], 1);
+    machine_.warm(lines_[0], 2);
+}
+
+void
+PinPatternMagnifier::forceInput(bool slow)
+{
+    if (slow)
+        machine_.warm(lines_[0], 1);
+}
+
+Cycle
+PinPatternMagnifier::amplify()
+{
+    return machine_.run(program_).cycles();
 }
 
 } // namespace hr

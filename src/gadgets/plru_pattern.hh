@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "cache/replacement.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -99,6 +100,47 @@ std::optional<PinPattern> findPinPattern(int assoc, int max_len = 16);
  */
 bool validatePinPattern(int assoc, const PinPattern &pattern,
                         int periods = 50);
+
+/** Configuration of the pin-pattern magnifier. */
+struct PinPatternMagnifierConfig
+{
+    int set = 3;       ///< L1 set the pattern's lines map to
+    int repeats = 500; ///< pattern periods per traversal
+    int tagBase = 16;  ///< tag space for the lines
+    int maxLen = 16;   ///< longest period findPinPattern may search
+};
+
+/**
+ * The tree-PLRU magnifier for any power-of-two associativity
+ * (registry name plru_pin_magnifier): the W = 4 magnifier of section
+ * 6.1 generalized through a findPinPattern result. Line 0 — the pinned
+ * line — is the input: present reads slow.
+ */
+class PinPatternMagnifier : public Amplifier
+{
+  public:
+    /** @p pattern: findPinPattern(L1 assoc, config.maxLen). */
+    PinPatternMagnifier(Machine &machine,
+                        const PinPatternMagnifierConfig &config,
+                        const PinPattern &pattern);
+
+    std::string name() const override { return "plru_pin_magnifier"; }
+
+    /**
+     * The canonical base state of findPinPattern: lines 1..W fill the
+     * set in way order, the last-but-one fill gets an extra touch; the
+     * pinned line 0 is staged in L2.
+     */
+    void prepare() override;
+
+    std::pair<Addr, Addr> inputLines() override { return {lines_[0], 0}; }
+    void forceInput(bool slow) override;
+    Cycle amplify() override;
+
+  private:
+    std::vector<Addr> lines_; ///< line ids 0 (pinned) .. W+1 (spare)
+    Program program_;
+};
 
 } // namespace hr
 

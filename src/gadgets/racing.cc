@@ -124,4 +124,128 @@ ReorderRace::run()
     return machine_.run(program_);
 }
 
+TransientPaRaceConfig
+PaRaceSource::raceConfig(Addr probe) const
+{
+    TransientPaRaceConfig config = config_.race;
+    if (probe != 0)
+        config.probeAddr = probe;
+    return config;
+}
+
+TimingSample
+PaRaceSource::sample(bool secret)
+{
+    TransientPaRace race(
+        machine_, raceConfig(0),
+        TargetExpr::opChain(config_.targetOp,
+                            secret ? config_.slowOps : config_.fastOps));
+    const Cycle t0 = machine_.now();
+    race.train();
+    const bool present = race.attackAndProbe();
+    TimingSample s;
+    s.cycles = machine_.now() - t0;
+    s.ns = machine_.toNs(s.cycles);
+    s.bit = present; // present == expression outlasted the baseline
+    return s;
+}
+
+void
+PaRaceSource::bindTarget(Addr primary, Addr)
+{
+    if (slowRace_ && primary == probeAddr_)
+        return;
+    probeAddr_ = primary;
+    slowRace_ = std::make_unique<TransientPaRace>(
+        machine_, raceConfig(primary),
+        TargetExpr::opChain(config_.targetOp, config_.slowOps));
+    fastRace_ = std::make_unique<TransientPaRace>(
+        machine_, raceConfig(primary),
+        TargetExpr::opChain(config_.targetOp, config_.fastOps));
+}
+
+TransientPaRace &
+PaRaceSource::race(bool present)
+{
+    // present: probe fetched, i.e. the slow expression loses.
+    fatalIf(!slowRace_ || !fastRace_,
+            "pa_race: transmit before bindTarget");
+    return present ? *slowRace_ : *fastRace_;
+}
+
+PlruMagnifier &
+ReorderRaceSource::readout()
+{
+    if (!readout_) {
+        readout_ = std::make_unique<PlruMagnifier>(
+            machine_,
+            PlruMagnifier::makeConfig(machine_, config_.set,
+                                      config_.readoutRepeats,
+                                      config_.tagBase),
+            PlruVariant::Reorder);
+        bindTarget(readout_->config().a, readout_->config().b);
+    }
+    return *readout_;
+}
+
+void
+ReorderRaceSource::calibrate()
+{
+    PlruMagnifier &magnifier = readout();
+    calibration_ = calibrateThreshold(
+        [&](bool slow) {
+            magnifier.prime();
+            magnifier.forceInput(slow);
+            return machine_.toNs(magnifier.traverse().cycles);
+        },
+        "reorder_race::calibrate");
+    calibrated_ = true;
+}
+
+TimingSample
+ReorderRaceSource::sample(bool secret)
+{
+    PlruMagnifier &magnifier = readout();
+    magnifier.prime();
+    // secret (slow observable) <=> A inserted first <=> the
+    // measurement path wins the race, i.e. the *fast* expression.
+    transmit(secret);
+    TimingSample s;
+    s.cycles = magnifier.traverse().cycles;
+    s.ns = machine_.toNs(s.cycles);
+    s.bit = calibrated_ && calibration_.isSlow(s.ns);
+    return s;
+}
+
+void
+ReorderRaceSource::bindTarget(Addr primary, Addr secondary)
+{
+    fatalIf(secondary == 0,
+            "reorder_race: needs both input lines (A and B)");
+    if (aFirstRace_ && primary == addrA_ && secondary == addrB_)
+        return;
+    addrA_ = primary;
+    addrB_ = secondary;
+    ReorderRaceConfig config;
+    config.addrA = primary;
+    config.addrB = secondary;
+    config.refOp = config_.refOp;
+    config.refOps = config_.refOps;
+    aFirstRace_ = std::make_unique<ReorderRace>(
+        machine_, config,
+        TargetExpr::opChain(config_.targetOp, config_.fastOps));
+    bFirstRace_ = std::make_unique<ReorderRace>(
+        machine_, config,
+        TargetExpr::opChain(config_.targetOp, config_.slowOps));
+}
+
+void
+ReorderRaceSource::transmit(bool present)
+{
+    fatalIf(!aFirstRace_ || !bFirstRace_,
+            "reorder_race: transmit before bindTarget");
+    (present ? *aFirstRace_ : *bFirstRace_).run();
+    machine_.settle();
+}
+
 } // namespace hr

@@ -17,10 +17,11 @@
 #ifndef HR_GADGETS_RACING_HH
 #define HR_GADGETS_RACING_HH
 
+#include <memory>
 #include <optional>
 
 #include "gadgets/path.hh"
-#include "sim/machine.hh"
+#include "gadgets/plru_magnifier.hh"
 
 namespace hr
 {
@@ -125,6 +126,103 @@ class ReorderRace
     Program program_;
 
     void build(const TargetExpr &expr);
+};
+
+/** Configuration of the pa_race TimingSource. */
+struct PaRaceSourceConfig
+{
+    TransientPaRaceConfig race;    ///< baseline path and training
+    Opcode targetOp = Opcode::Add; ///< expression operation
+    int slowOps = 60;              ///< expression length, secret == true
+    int fastOps = 5;               ///< expression length, secret == false
+};
+
+/**
+ * The transient P/A race as a TimingSource (registry name pa_race).
+ * sample() races an op chain of slowOps (secret) or fastOps against
+ * the baseline and inspects the probe line directly: bit == probe
+ * present == the expression outlasted the baseline. As a pipeline
+ * encoder it writes the presence of the amplifier's input line.
+ */
+class PaRaceSource : public TimingSource
+{
+  public:
+    PaRaceSource(Machine &machine, const PaRaceSourceConfig &config)
+        : TimingSource(machine), config_(config)
+    {
+    }
+
+    std::string name() const override { return "pa_race"; }
+    TimingSample sample(bool secret) override;
+
+    bool isEncoder() const override { return true; }
+    void bindTarget(Addr primary, Addr secondary) override;
+    void primeEncoder(bool present) override { race(present).train(); }
+    void transmit(bool present) override { race(present).runAttack(); }
+
+  private:
+    PaRaceSourceConfig config_;
+    Addr probeAddr_ = 0;
+    std::unique_ptr<TransientPaRace> slowRace_;
+    std::unique_ptr<TransientPaRace> fastRace_;
+
+    TransientPaRaceConfig raceConfig(Addr probe) const;
+    TransientPaRace &race(bool present);
+};
+
+/** Configuration of the reorder_race TimingSource. */
+struct ReorderRaceSourceConfig
+{
+    Opcode refOp = Opcode::Add;    ///< baseline path operation
+    int refOps = 60;               ///< baseline path length
+    Opcode targetOp = Opcode::Add; ///< expression operation
+    int slowOps = 150;             ///< expression length, B wins
+    int fastOps = 5;               ///< expression length, A wins
+    int set = 5;                   ///< L1 set of the standalone readout
+    int tagBase = 700;             ///< tag space of the readout lines
+    int readoutRepeats = 64;       ///< readout traversal periods
+};
+
+/**
+ * The reorder race as a TimingSource (registry name reorder_race).
+ * Standalone, the race writes A-before-B order into a W = 4 tree-PLRU
+ * set that a short reorder-magnifier traversal reads out; as a
+ * pipeline encoder it orders the amplifier's two input lines.
+ */
+class ReorderRaceSource : public TimingSource
+{
+  public:
+    ReorderRaceSource(Machine &machine,
+                      const ReorderRaceSourceConfig &config)
+        : TimingSource(machine), config_(config)
+    {
+    }
+
+    std::string name() const override { return "reorder_race"; }
+    void calibrate() override;
+    TimingSample sample(bool secret) override;
+
+    bool isEncoder() const override { return true; }
+    void bindTarget(Addr primary, Addr secondary) override;
+    /** No speculation anywhere: nothing to train. */
+    void primeEncoder(bool) override {}
+    void transmit(bool present) override;
+
+  private:
+    ReorderRaceSourceConfig config_;
+    std::unique_ptr<PlruMagnifier> readout_;
+    Addr addrA_ = 0, addrB_ = 0;
+    std::unique_ptr<ReorderRace> aFirstRace_;
+    std::unique_ptr<ReorderRace> bFirstRace_;
+    Calibration calibration_;
+    bool calibrated_ = false;
+
+    /**
+     * The standalone readout magnifier, built (and targeted by the
+     * races) on first standalone use: as a pipeline encoder the source
+     * never reads it, and its set must not constrain the pipeline.
+     */
+    PlruMagnifier &readout();
 };
 
 } // namespace hr

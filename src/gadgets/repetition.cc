@@ -123,4 +123,36 @@ makeConstantTimeStage(const TargetExpr &payload, Opcode ref_op,
     return builder.take();
 }
 
+void
+RepetitionSource::calibrate()
+{
+    calibration_ = calibrateThresholdLenient(
+        [&](bool slow) { return observe(slow).ns; });
+    calibrated_ = true;
+}
+
+TimingSample
+RepetitionSource::sample(bool secret)
+{
+    TimingSample s = observe(secret);
+    s.bit = calibrated_ && calibration_.isSlow(s.ns);
+    return s;
+}
+
+TimingSample
+RepetitionSource::observe(bool secret)
+{
+    machine_.warm(config_.stages.otherAddr, 1);
+    RepetitionGadget gadget = makeFlushReloadGadget(
+        machine_, config_.stages, /*same_addr=*/!secret, config_.racing);
+    const StageBreakdown breakdown = gadget.run(config_.rounds);
+    TimingSample s;
+    s.cycles = breakdown.total();
+    s.ns = machine_.toNs(s.cycles);
+    for (std::size_t i = 0; i < breakdown.names.size(); ++i)
+        s.aux.emplace_back(breakdown.names[i],
+                           static_cast<double>(breakdown.cycles[i]));
+    return s;
+}
+
 } // namespace hr

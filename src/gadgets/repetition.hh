@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "gadgets/path.hh"
-#include "sim/machine.hh"
+#include "gadgets/timing_source.hh"
 
 namespace hr
 {
@@ -86,6 +86,42 @@ struct FlushReloadStages
 RepetitionGadget makeFlushReloadGadget(Machine &machine,
                                        const FlushReloadStages &stages,
                                        bool same_addr, bool racing);
+
+/** Configuration of the repetition TimingSource. */
+struct RepetitionSourceConfig
+{
+    int rounds = 200;         ///< flush+reload rounds per observation
+    bool racing = true;       ///< hide the load stage in a racing envelope
+    FlushReloadStages stages; ///< line layout and envelope length
+};
+
+/**
+ * The flush+reload repetition harness as a TimingSource (registry
+ * name repetition). secret == true: the victim touches a *different*
+ * line, so every reload stage misses. The per-stage cycle breakdown
+ * rides in TimingSample::aux. With racing == false the two states are
+ * designed to be inseparable (the paper's cancellation failure), so
+ * calibration is lenient.
+ */
+class RepetitionSource : public TimingSource
+{
+  public:
+    RepetitionSource(Machine &machine, const RepetitionSourceConfig &config)
+        : TimingSource(machine), config_(config)
+    {
+    }
+
+    std::string name() const override { return "repetition"; }
+    void calibrate() override;
+    TimingSample sample(bool secret) override;
+
+  private:
+    RepetitionSourceConfig config_;
+    Calibration calibration_;
+    bool calibrated_ = false;
+
+    TimingSample observe(bool secret);
+};
 
 } // namespace hr
 

@@ -14,60 +14,75 @@ TimingSample::auxValue(const std::string &key, double def) const
     return def;
 }
 
-Trace
-TimingSource::trace(Machine &machine, const std::vector<bool> &secrets)
-{
-    Trace samples;
-    samples.reserve(secrets.size());
-    for (bool secret : secrets)
-        samples.push_back(sample(machine, secret));
-    return samples;
-}
-
 void
-TimingSource::bindTarget(Machine &, Addr, Addr)
+TimingSource::bindTarget(Addr, Addr)
 {
     fatal(name() + " is not an encoder (bindTarget unsupported)");
 }
 
 void
-TimingSource::primeEncoder(Machine &, bool)
+TimingSource::primeEncoder(bool)
 {
     fatal(name() + " is not an encoder (primeEncoder unsupported)");
 }
 
 void
-TimingSource::transmit(Machine &, bool)
+TimingSource::transmit(bool)
 {
     fatal(name() + " is not an encoder (transmit unsupported)");
 }
 
 void
-TimingSource::prepare(Machine &)
+TimingSource::prepare()
 {
     fatal(name() + " is not an amplifier (prepare unsupported)");
 }
 
 std::pair<Addr, Addr>
-TimingSource::inputLines(Machine &)
+TimingSource::inputLines()
 {
     fatal(name() + " is not an amplifier (inputLines unsupported)");
 }
 
 void
-TimingSource::forceInput(Machine &, bool)
+TimingSource::forceInput(bool)
 {
     fatal(name() + " is not an amplifier (forceInput unsupported)");
 }
 
 Cycle
-TimingSource::amplify(Machine &)
+TimingSource::amplify()
 {
     fatal(name() + " is not an amplifier (amplify unsupported)");
 }
 
+void
+Amplifier::calibrate()
+{
+    calibration_ = calibrateThreshold(
+        [&](bool slow) {
+            prepare();
+            forceInput(slow);
+            return machine_.toNs(amplify());
+        },
+        name() + "::calibrate");
+    calibrated_ = true;
+}
+
+TimingSample
+Amplifier::sample(bool secret)
+{
+    prepare();
+    forceInput(secret);
+    TimingSample s;
+    s.cycles = amplify();
+    s.ns = machine_.toNs(s.cycles);
+    s.bit = calibrated_ && calibration_.isSlow(s.ns);
+    return s;
+}
+
 PolarityStats
-measurePolarities(TimingSource &source, Machine &machine, int trials)
+measurePolarities(TimingSource &source, int trials)
 {
     PolarityStats stats;
     stats.trials = trials;
@@ -75,7 +90,7 @@ measurePolarities(TimingSource &source, Machine &machine, int trials)
     double fast_reading = 0, slow_reading = 0;
     for (int t = 0; t < trials; ++t) {
         for (bool secret : {false, true}) {
-            const TimingSample s = source.sample(machine, secret);
+            const TimingSample s = source.sample(secret);
             (secret ? slow_cycles : fast_cycles) +=
                 static_cast<double>(s.cycles);
             (secret ? slow_reading : fast_reading) += s.ns;

@@ -6,24 +6,25 @@
  * racing gadgets that encode "was this slower than the reference?"
  * into microarchitectural state, magnifiers that stretch that state
  * into coarse-clock-visible durations, repetition harnesses, and the
- * composed hacky timers. TimingSource gives them a common surface:
+ * composed hacky timers. TimingSource gives them a common surface.
+ * Every source is bound to one Machine at construction (the gadget
+ * classes are the sources: PlruMagnifier, ArithMagnifier, HackyTimer,
+ * ... keep their machine-bound constructors), and then offers:
  *
- *   - configure(params): apply string-keyed construction overrides
- *     (what GadgetRegistry::make and `hr_bench sweep` feed in);
- *   - calibrate(machine): establish decision thresholds from the two
- *     known input states;
- *   - sample(machine, secret): one complete observation of a secret
- *     bit, returning a TimingSample. The polarity convention is
- *     uniform: secret == true is the state that reads *slow*, so a
- *     working source satisfies sample(m, true) slower than
- *     sample(m, false) and, once calibrated, bit == secret;
- *   - clone(): a fresh instance with the same configuration but no
- *     machine binding or calibration (so clones are independent);
- *   - describe(): one line of human documentation.
+ *   - calibrate(): establish decision thresholds from the two known
+ *     input states;
+ *   - sample(secret): one complete observation of a secret bit,
+ *     returning a TimingSample. The polarity convention is uniform:
+ *     secret == true is the state that reads *slow*, so a working
+ *     source satisfies sample(true) slower than sample(false) and,
+ *     once calibrated, bit == secret.
+ *
+ * GadgetRegistry::make builds any source by name on a given machine
+ * (or returns nullptr when the gadget cannot run there).
  *
  * Sources that can participate in composed attack pipelines
  * additionally implement the encoder/amplifier hooks (see Pipeline in
- * gadgets/sources.hh): an encoder writes the bit into cache state as
+ * gadgets/pipeline.hh): an encoder writes the bit into cache state as
  * the presence/absence (or insertion order) of the amplifier's input
  * line(s); an amplifier primes its state, amplifies it into a long
  * duration, and can force either input state for calibration.
@@ -32,13 +33,12 @@
 #ifndef HR_GADGETS_TIMING_SOURCE_HH
 #define HR_GADGETS_TIMING_SOURCE_HH
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/machine.hh"
-#include "util/params.hh"
+#include "timer/calibration.hh"
 
 namespace hr
 {
@@ -55,9 +55,6 @@ struct TimingSample
 
     double auxValue(const std::string &key, double def = 0.0) const;
 };
-
-/** A sequence of observations (one per transmitted bit). */
-using Trace = std::vector<TimingSample>;
 
 /**
  * Fast/slow polarity measurement summary (see measurePolarities):
@@ -88,48 +85,29 @@ class TimingSource;
 /**
  * The standard accuracy protocol shared by `hr_bench sweep` and the
  * accuracy scenarios: @p trials rounds of one fast (secret == false)
- * then one slow (secret == true) observation on @p machine, against a
- * source that has already been configured and calibrated.
+ * then one slow (secret == true) observation, against a source that
+ * has already been calibrated.
  */
-PolarityStats measurePolarities(TimingSource &source, Machine &machine,
-                                int trials);
+PolarityStats measurePolarities(TimingSource &source, int trials);
 
-/** The unified gadget abstraction. */
+/** The unified gadget abstraction, bound to one machine. */
 class TimingSource
 {
   public:
+    explicit TimingSource(Machine &machine) : machine_(machine) {}
     virtual ~TimingSource() = default;
+
+    /** The machine this source runs on. */
+    Machine &machine() const { return machine_; }
 
     /** Registry-stable identifier, e.g. "plru_pa_magnifier". */
     virtual std::string name() const = 0;
 
-    /** One-line human description of what this source measures. */
-    virtual std::string describe() const = 0;
-
-    /** Apply string-keyed parameter overrides (before first use). */
-    virtual void configure(const ParamSet &params) { (void)params; }
-
-    /** True if the source can run on this machine's configuration. */
-    virtual bool compatible(const Machine &machine) const
-    {
-        (void)machine;
-        return true;
-    }
-
     /** Establish decision thresholds. Default: nothing to calibrate. */
-    virtual void calibrate(Machine &machine) { (void)machine; }
+    virtual void calibrate() {}
 
     /** One complete observation of @p secret (true = slow state). */
-    virtual TimingSample sample(Machine &machine, bool secret) = 0;
-
-    /**
-     * Fresh instance with identical configuration and no shared
-     * state: clones calibrate and bind to machines independently.
-     */
-    virtual std::unique_ptr<TimingSource> clone() const = 0;
-
-    /** Observe a whole bit sequence (one sample per element). */
-    Trace trace(Machine &machine, const std::vector<bool> &secrets);
+    virtual TimingSample sample(bool secret) = 0;
 
     // ---- pipeline composition hooks -------------------------------
     //
@@ -144,7 +122,7 @@ class TimingSource
     //
     // The bit travels as the presence/absence (or, for order-encoded
     // amplifiers, primary-before-secondary insertion order) of the
-    // amplifier's input line(s): transmit(m, true) makes the primary
+    // amplifier's input line(s): transmit(true) makes the primary
     // line present / first.
 
     /** True if this source can encode a bit into cache state. */
@@ -158,36 +136,57 @@ class TimingSource
      * line whose presence/order carries the bit; @p secondary is the
      * counterpart line for order-encoded amplifiers (0 if unused).
      */
-    virtual void bindTarget(Machine &machine, Addr primary,
-                            Addr secondary);
+    virtual void bindTarget(Addr primary, Addr secondary);
 
     /**
      * Encoder: per-observation training for the @p present polarity
      * (runs before the amplifier primes, because training may pollute
      * the target line).
      */
-    virtual void primeEncoder(Machine &machine, bool present);
+    virtual void primeEncoder(bool present);
 
     /**
      * Encoder: the attack run. @p present selects the target state to
      * write: primary line present (or inserted first).
      */
-    virtual void transmit(Machine &machine, bool present);
+    virtual void transmit(bool present);
 
     /** Amplifier: prime the magnifier state (before each transmit). */
-    virtual void prepare(Machine &machine);
+    virtual void prepare();
 
     /** Amplifier: the input line(s) an encoder should target. */
-    virtual std::pair<Addr, Addr> inputLines(Machine &machine);
+    virtual std::pair<Addr, Addr> inputLines();
 
     /** Amplifier: does a *present* (or first-inserted) input read slow? */
     virtual bool presentMeansSlow() const { return true; }
 
     /** Amplifier: directly force the slow/fast input state. */
-    virtual void forceInput(Machine &machine, bool slow);
+    virtual void forceInput(bool slow);
 
     /** Amplifier: stretch the current state into a duration. */
-    virtual Cycle amplify(Machine &machine);
+    virtual Cycle amplify();
+
+  protected:
+    Machine &machine_;
+};
+
+/**
+ * Base of the amplifier-role sources (the magnifiers): calibrate and
+ * sample are defined once over the amplifier hooks — prime, force the
+ * input state, amplify — so a magnifier only implements the hooks.
+ */
+class Amplifier : public TimingSource
+{
+  public:
+    using TimingSource::TimingSource;
+
+    bool isAmplifier() const override { return true; }
+    void calibrate() override;
+    TimingSample sample(bool secret) override;
+
+  private:
+    Calibration calibration_;
+    bool calibrated_ = false;
 };
 
 } // namespace hr

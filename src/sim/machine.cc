@@ -1,6 +1,5 @@
 #include "sim/machine.hh"
 
-#include <atomic>
 #include <cstring>
 
 #include "obs/metrics.hh"
@@ -12,13 +11,6 @@ namespace hr
 
 namespace
 {
-
-std::uint64_t
-nextMachineSerial()
-{
-    static std::atomic<std::uint64_t> counter{0};
-    return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
 
 /** Run bookkeeping at the public run/coRun boundary. */
 void
@@ -190,7 +182,7 @@ machineConfigFingerprint(const MachineConfig &config)
 }
 
 Machine::Machine(const MachineConfig &config)
-    : config_(normalized(config)), serial_(nextMachineSerial()),
+    : config_(normalized(config)),
       fingerprint_(machineConfigFingerprint(config_)),
       hierarchy_(config_.memory)
 {

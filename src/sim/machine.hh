@@ -108,11 +108,11 @@ class Machine
      * captured state: restore() neither adds nor removes them.
      *
      * Aliasing caveats (see EXPERIMENTS.md):
-     *  - restore() does not change serial(), so TimingSources
-     *    calibrated against this machine BEFORE the snapshot remain
-     *    valid afterwards (the warm/calibrate-once use case), but a
-     *    calibration done AFTER the snapshot also survives a restore
-     *    even though the state it measured was rolled back.
+     *  - restore() rolls back machine state only: a TimingSource
+     *    bound to this machine keeps whatever it built or calibrated,
+     *    before the snapshot (the warm/calibrate-once use case) and
+     *    also after it, even though the state a later calibration
+     *    measured was rolled back.
      *  - Programs keep their assigned ids across a restore; ids are
      *    allocated from a process-wide counter that never rolls back,
      *    so a program first run after the snapshot keeps one stable
@@ -155,13 +155,6 @@ class Machine
 
     /** Number of hardware execution contexts. */
     int contexts() const { return config_.contexts; }
-
-    /**
-     * Process-unique machine identity. Lets components that lazily
-     * bind to a machine (TimingSource adapters) detect that a new
-     * Machine was constructed at a recycled address and rebuild.
-     */
-    std::uint64_t serial() const { return serial_; }
 
     MemoryImage &memory() { return memory_; }
     const MemoryImage &memory() const { return memory_; }
@@ -304,7 +297,6 @@ class Machine
 
   private:
     MachineConfig config_;
-    std::uint64_t serial_;
     std::uint64_t fingerprint_;
     MemoryImage memory_;
     Hierarchy hierarchy_;

@@ -142,32 +142,27 @@ TEST(Frame, ScanRecoversTheNextFrameAfterALostPreamble)
 class InvertedSource final : public TimingSource
 {
   public:
+    using TimingSource::TimingSource;
+
     std::string name() const override { return "inverted_test"; }
-    std::string describe() const override { return "test source"; }
 
     TimingSample
-    sample(Machine &, bool secret) override
+    sample(bool secret) override
     {
         TimingSample s;
         s.ns = secret ? 10.0 : 20.0;
         s.cycles = 40;
         return s;
     }
-
-    std::unique_ptr<TimingSource>
-    clone() const override
-    {
-        return std::make_unique<InvertedSource>();
-    }
 };
 
 TEST(Modem, DemodulatorLearnsInvertedPolarity)
 {
     Machine machine;
-    Modulator modulator(std::make_unique<InvertedSource>(),
+    Modulator modulator(std::make_unique<InvertedSource>(machine),
                         Modulation::Ook);
     Demodulator demod;
-    demod.calibrate(machine, modulator);
+    demod.calibrate(modulator);
     EXPECT_TRUE(demod.separable());
     EXPECT_TRUE(demod.inverted());
     EXPECT_TRUE(demod.decide(10.0));
@@ -176,7 +171,8 @@ TEST(Modem, DemodulatorLearnsInvertedPolarity)
 
 TEST(Modem, Rs2RequiresAnAmplifier)
 {
-    EXPECT_THROW(Modulator(std::make_unique<InvertedSource>(),
+    Machine machine;
+    EXPECT_THROW(Modulator(std::make_unique<InvertedSource>(machine),
                            Modulation::Rs2),
                  std::runtime_error);
     EXPECT_THROW(modulationFromName("qam"), std::runtime_error);

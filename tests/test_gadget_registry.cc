@@ -2,21 +2,24 @@
  * @file
  * Unified TimingSource API tests: registry round-trip over every
  * registered gadget (construct by name on a compatible profile,
- * calibrate, transmit one bit each way), clone() independence, the
- * pipeline determinism contract (same configuration and seed produce
- * identical TimingSamples), and sweep output that is byte-identical
- * at any --jobs value.
+ * calibrate, transmit one bit each way), the pinned gadget x profile
+ * compatibility matrix, machine binding (sources on identical machines
+ * observe identically and independently), the pipeline determinism
+ * contract (same configuration and seed produce identical
+ * TimingSamples), and sweep output that is byte-identical at any
+ * --jobs value.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <set>
 #include <stdexcept>
 
 #include "exp/sweep.hh"
 #include "gadgets/gadget_registry.hh"
-#include "gadgets/sources.hh"
+#include "gadgets/pipeline.hh"
 #include "sim/profiles.hh"
 
 namespace hr
@@ -40,16 +43,27 @@ quickParams(const std::string &gadget)
     return params;
 }
 
-/** First registered machine profile the source is compatible with. */
-std::unique_ptr<Machine>
-compatibleMachine(TimingSource &source)
+/** A source built on the first stock profile that can run it. */
+struct Bound
 {
+    std::unique_ptr<Machine> machine;
+    std::unique_ptr<TimingSource> source;
+    MachineConfig config;
+};
+
+Bound
+onFirstProfile(const std::string &gadget)
+{
+    Bound bound;
     for (const MachineProfile &profile : machineProfiles()) {
-        auto machine = std::make_unique<Machine>(profile.make());
-        if (source.compatible(*machine))
-            return machine;
+        bound.config = profile.make();
+        bound.machine = std::make_unique<Machine>(bound.config);
+        bound.source = GadgetRegistry::instance().make(
+            gadget, *bound.machine, quickParams(gadget));
+        if (bound.source)
+            break;
     }
-    return nullptr;
+    return bound;
 }
 
 TEST(GadgetRegistry, ListsTheWholeFamily)
@@ -86,31 +100,70 @@ TEST(GadgetRegistry, ResolvesPrefixesAndRejectsUnknowns)
 
 TEST(GadgetRegistry, RoundTripEveryGadget)
 {
-    // Every registered source must construct by name, find at least
-    // one compatible stock profile, calibrate, and transmit one bit
-    // each way with the uniform polarity convention (secret == true
-    // reads slow). The bare coarse clock is exempt from the decoding
-    // check: failing to decode is its documented role.
+    // Every registered source must construct by name on at least one
+    // stock profile, calibrate, and transmit one bit each way with the
+    // uniform polarity convention (secret == true reads slow). The
+    // bare coarse clock is exempt from the decoding check: failing to
+    // decode is its documented role.
     for (const GadgetInfo *info : GadgetRegistry::instance().all()) {
         SCOPED_TRACE(info->name);
-        auto source = GadgetRegistry::instance().make(
-            info->name, quickParams(info->name));
-        ASSERT_TRUE(source != nullptr);
-        EXPECT_EQ(source->name(), info->name);
-        EXPECT_FALSE(source->describe().empty());
-
-        auto machine = compatibleMachine(*source);
-        ASSERT_TRUE(machine != nullptr)
+        Bound bound = onFirstProfile(info->name);
+        ASSERT_TRUE(bound.source != nullptr)
             << "no stock profile runs " << info->name;
+        TimingSource *source = bound.source.get();
+        EXPECT_EQ(source->name(), info->name);
+        EXPECT_EQ(&source->machine(), bound.machine.get());
 
-        source->calibrate(*machine);
-        const TimingSample fast = source->sample(*machine, false);
-        const TimingSample slow = source->sample(*machine, true);
+        source->calibrate();
+        const TimingSample fast = source->sample(false);
+        const TimingSample slow = source->sample(true);
         EXPECT_GT(slow.cycles, fast.cycles);
         if (info->name != "coarse_timer") {
             EXPECT_FALSE(fast.bit);
             EXPECT_TRUE(slow.bit);
         }
+    }
+}
+
+TEST(GadgetRegistry, MakeMatchesTheCompatibilityMatrix)
+{
+    // make() returns a source exactly where the gadget can run: one
+    // character per stock profile, in machineProfiles() order, '1'
+    // where it runs.
+    const char *kProfiles = "default effective_window noisy plru "
+                            "noisy_plru random_l1 small_llc smt2 "
+                            "smt2_plru";
+    const std::map<std::string, std::string> kRuns = {
+        {"arbitrary_magnifier", "111..1.1."},
+        {"arith_magnifier", "111111111"},
+        {"coarse_timer", "111111111"},
+        {"hacky_pipeline", "...11.1.1"},
+        {"hacky_timer", "...11.1.1"},
+        {"l1_contention", ".......11"},
+        {"pa_race", "111111111"},
+        {"plru_pa_magnifier", "...11.1.1"},
+        {"plru_pin_magnifier", "11111.111"},
+        {"plru_reorder_magnifier", "...11.1.1"},
+        {"reorder_pipeline", "...11.1.1"},
+        {"reorder_race", "...11.1.1"},
+        {"repetition", "111111111"},
+        {"smt_contention", ".......11"},
+    };
+    std::string profiles;
+    for (const MachineProfile &profile : machineProfiles())
+        profiles += (profiles.empty() ? "" : " ") + profile.name;
+    ASSERT_EQ(profiles, kProfiles);
+    ASSERT_EQ(GadgetRegistry::instance().all().size(), kRuns.size());
+    for (const GadgetInfo *info : GadgetRegistry::instance().all()) {
+        ASSERT_TRUE(kRuns.count(info->name)) << info->name;
+        std::string runs;
+        for (const MachineProfile &profile : machineProfiles()) {
+            Machine machine(profile.make());
+            runs += GadgetRegistry::instance().make(info->name, machine)
+                        ? '1'
+                        : '.';
+        }
+        EXPECT_EQ(runs, kRuns.at(info->name)) << info->name;
     }
 }
 
@@ -120,55 +173,54 @@ TEST(GadgetRegistry, MakeAppliesParameters)
     ParamSet small, large;
     small.set("repeats", "100");
     large.set("repeats", "1000");
-    auto short_mag =
-        GadgetRegistry::instance().make("plru_pa_magnifier", small);
-    auto long_mag =
-        GadgetRegistry::instance().make("plru_pa_magnifier", large);
-    const Cycle short_cycles =
-        short_mag->sample(machine, true).cycles;
-    const Cycle long_cycles = long_mag->sample(machine, true).cycles;
+    auto short_mag = GadgetRegistry::instance().make("plru_pa_magnifier",
+                                                     machine, small);
+    auto long_mag = GadgetRegistry::instance().make("plru_pa_magnifier",
+                                                    machine, large);
+    const Cycle short_cycles = short_mag->sample(true).cycles;
+    const Cycle long_cycles = long_mag->sample(true).cycles;
     EXPECT_GT(long_cycles, 5 * short_cycles);
 }
 
-TEST(TimingSource, CloneIsIndependent)
+TEST(TimingSource, SourcesAreBoundToTheirOwnMachine)
 {
-    // A clone carries the configuration but no machine binding or
-    // calibration: used on its own machine it reproduces exactly what
-    // a fresh instance produces, and using it does not disturb the
-    // original.
-    ParamSet params;
-    params.set("repeats", "300");
-    auto original =
-        GadgetRegistry::instance().make("plru_pa_magnifier", params);
+    // Two sources from one registry entry on two identical fresh
+    // machines observe exactly what one source observes alone, even
+    // when used interleaved: each touches only its own machine. Covers
+    // an amplifier, a timer that calibrates itself on first use, one
+    // that warms its machine at construction, and a composed stack.
+    const std::vector<bool> secrets = {true, false, false, true};
+    for (const char *gadget : {"plru_pa_magnifier", "hacky_timer",
+                               "l1_contention", "hacky_pipeline"}) {
+        SCOPED_TRACE(gadget);
+        Bound alone = onFirstProfile(gadget);
+        ASSERT_TRUE(alone.source != nullptr);
+        alone.source->calibrate();
+        std::vector<TimingSample> want;
+        for (bool secret : secrets)
+            want.push_back(alone.source->sample(secret));
 
-    Machine machine_a(machineConfigForProfile("plru"));
-    original->calibrate(machine_a);
-    const TimingSample before = original->sample(machine_a, true);
-
-    auto clone = original->clone();
-    EXPECT_EQ(clone->name(), original->name());
-    Machine machine_b(machineConfigForProfile("plru"));
-    clone->calibrate(machine_b);
-    const TimingSample clone_sample = clone->sample(machine_b, true);
-
-    // Same configuration, fresh identical machine: identical result.
-    Machine machine_c(machineConfigForProfile("plru"));
-    auto fresh =
-        GadgetRegistry::instance().make("plru_pa_magnifier", params);
-    fresh->calibrate(machine_c);
-    const TimingSample fresh_sample = fresh->sample(machine_c, true);
-    EXPECT_EQ(clone_sample.cycles, fresh_sample.cycles);
-    EXPECT_EQ(clone_sample.bit, fresh_sample.bit);
-
-    // The original still works and still reads the same machine.
-    const TimingSample after = original->sample(machine_a, true);
-    EXPECT_EQ(before.cycles, after.cycles);
-
-    // Clones of every registered gadget construct and self-describe.
-    for (const GadgetInfo *info : GadgetRegistry::instance().all()) {
-        auto source = GadgetRegistry::instance().make(info->name);
-        auto copy = source->clone();
-        EXPECT_EQ(copy->name(), source->name()) << info->name;
+        const ParamSet params = quickParams(gadget);
+        Machine machine_a(alone.config);
+        Machine machine_b(alone.config);
+        auto a = GadgetRegistry::instance().make(gadget, machine_a, params);
+        auto b = GadgetRegistry::instance().make(gadget, machine_b, params);
+        EXPECT_EQ(&a->machine(), &machine_a);
+        EXPECT_EQ(&b->machine(), &machine_b);
+        a->calibrate();
+        b->calibrate();
+        for (std::size_t i = 0; i < secrets.size(); ++i) {
+            SCOPED_TRACE(i);
+            const TimingSample got_a = a->sample(secrets[i]);
+            const TimingSample got_b = b->sample(secrets[i]);
+            for (const TimingSample *got : {&got_a, &got_b}) {
+                EXPECT_EQ(got->cycles, want[i].cycles);
+                EXPECT_DOUBLE_EQ(got->ns, want[i].ns);
+                EXPECT_EQ(got->bit, want[i].bit);
+            }
+        }
+        EXPECT_EQ(machine_a.now(), alone.machine->now());
+        EXPECT_EQ(machine_b.now(), alone.machine->now());
     }
 }
 
@@ -181,12 +233,15 @@ TEST(Pipeline, DeterministicTraces)
     auto run_trace = [&] {
         Machine machine(machineConfigForProfile("plru"));
         auto pipeline =
-            GadgetRegistry::instance().make("hacky_pipeline", {});
-        pipeline->calibrate(machine);
-        return pipeline->trace(machine, secrets);
+            GadgetRegistry::instance().make("hacky_pipeline", machine);
+        pipeline->calibrate();
+        std::vector<TimingSample> samples;
+        for (bool secret : secrets)
+            samples.push_back(pipeline->sample(secret));
+        return samples;
     };
-    const Trace first = run_trace();
-    const Trace second = run_trace();
+    const std::vector<TimingSample> first = run_trace();
+    const std::vector<TimingSample> second = run_trace();
     ASSERT_EQ(first.size(), secrets.size());
     ASSERT_EQ(second.size(), secrets.size());
     for (std::size_t i = 0; i < secrets.size(); ++i) {
@@ -201,16 +256,21 @@ TEST(Pipeline, HandBuiltCompositionMatchesRegistry)
 {
     // Pipeline::then() composes the same stack the registry ships.
     Machine machine(machineConfigForProfile("plru"));
-    Pipeline custom("custom");
-    custom.then(GadgetRegistry::instance().make("pa_race"))
-        .then(GadgetRegistry::instance().make("plru_pa_magnifier"));
     ParamSet params;
     params.set("repeats", "2000");
-    custom.configure(params);
-    EXPECT_TRUE(custom.compatible(machine));
-    custom.calibrate(machine);
-    EXPECT_FALSE(custom.sample(machine, false).bit);
-    EXPECT_TRUE(custom.sample(machine, true).bit);
+    Pipeline custom(machine, "custom");
+    custom.then(GadgetRegistry::instance().make("pa_race", machine))
+        .then(GadgetRegistry::instance().make("plru_pa_magnifier",
+                                              machine, params));
+    custom.calibrate();
+    EXPECT_FALSE(custom.sample(false).bit);
+    EXPECT_TRUE(custom.sample(true).bit);
+
+    // Every stage must run on the pipeline's own machine.
+    Machine other(machineConfigForProfile("plru"));
+    EXPECT_THROW(
+        custom.then(GadgetRegistry::instance().make("pa_race", other)),
+        std::runtime_error);
 }
 
 TEST(Sweep, ByteIdenticalAcrossJobs)
@@ -249,6 +309,47 @@ TEST(Sweep, GridSyntaxAndIncompatibleRows)
     const std::string rendered =
         runSweep(options).render(Format::Csv);
     EXPECT_NE(rendered.find("incompatible"), std::string::npos);
+}
+
+TEST(Sweep, CountsThatCannotObserveAreErrorRows)
+{
+    // Rounds, chains and stage counts that cannot produce an
+    // observation are error rows naming the key, never `ok` rows; the
+    // documented `0 = auto` values still run.
+    struct Case
+    {
+        const char *gadget;
+        const char *profile;
+        const char *grid;
+        const char *key; ///< nullptr: every row must be ok
+    };
+    for (const Case &c :
+         {Case{"repetition", "default", "rounds=0,-1", "rounds"},
+          Case{"pa_race", "default", "slow_ops=-5", "slow_ops"},
+          Case{"arith_magnifier", "default", "stages=0", "stages"},
+          Case{"arbitrary_magnifier", "default", "repeats=0", "repeats"},
+          Case{"hacky_timer", "plru", "repeats=0", nullptr},
+          Case{"arith_magnifier", "default", "add_buffer=0", nullptr}}) {
+        SCOPED_TRACE(std::string(c.gadget) + " " + c.grid);
+        SweepOptions options;
+        options.gadget = c.gadget;
+        options.profile = c.profile;
+        options.trials = 1;
+        options.grid.push_back(parseSweepAxis(c.grid));
+        const std::string rendered =
+            runSweep(options).render(Format::Json);
+        const bool ok =
+            rendered.find("\"status\": \"ok\"") != std::string::npos;
+        const bool error =
+            rendered.find("\"status\": \"error: ") != std::string::npos;
+        if (c.key == nullptr) {
+            EXPECT_TRUE(ok && !error) << rendered;
+            continue;
+        }
+        EXPECT_TRUE(error && !ok) << rendered;
+        EXPECT_NE(rendered.find(std::string(c.key) + " must be >= "),
+                  std::string::npos);
+    }
 }
 
 } // namespace

@@ -38,16 +38,16 @@ observe(const std::string &gadget, const std::string &profile,
     MachineConfig config = machineConfigForProfile(profile);
     config.core.lockstep = lockstep;
     Machine machine(config);
-    auto source = GadgetRegistry::instance().make(gadget, {});
+    auto source = GadgetRegistry::instance().make(gadget, machine);
     Observed out;
-    if (!source->compatible(machine))
+    if (!source)
         return out;
     TrialTrace trace;
     machine.beginRecord(trace);
-    source->calibrate(machine);
+    source->calibrate();
     out.regs.push_back(machine.core().committedRegs(0));
     for (bool secret : {false, true}) {
-        out.samples.push_back(source->sample(machine, secret));
+        out.samples.push_back(source->sample(secret));
         out.regs.push_back(machine.core().committedRegs(0));
     }
     machine.endRecord();

@@ -74,7 +74,8 @@ TEST(ParamSuggest, GadgetMakeRejectsTypoWithSuggestion)
     ParamSet params;
     params.set("slowops", "8");
     const std::string message = messageOf([&] {
-        GadgetRegistry::instance().make("smt_contention", params);
+        Machine machine;
+        GadgetRegistry::instance().make("smt_contention", machine, params);
     });
     EXPECT_NE(message.find("did you mean 'slow_ops'?"),
               std::string::npos);
