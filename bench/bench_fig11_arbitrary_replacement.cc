@@ -2,7 +2,7 @@
 
 #include "exp/registry.hh"
 #include "gadgets/gadget_registry.hh"
-#include "util/log.hh"
+#include "obs/log.hh"
 #include "util/table.hh"
 
 namespace hr

@@ -14,8 +14,6 @@
  *                  [--profile=NAME] [--grid key=v1,v2]...
  *                  [--trials=N] [--jobs=N] [--seed=S] [--format=F]
  *                  [--param key=value]
- *   hr_bench perf [--quick] [--suite=NAME]... [--out=FILE]
- *                 [--baseline=FILE] [--tolerance=T] [--seed=S]
  *   hr_bench analyze <gadget|channel|program>... | --all
  *                    [--capacity] [--profile=NAME] [--jobs=N]
  *                    [--no-validate] [--param key=value]
@@ -40,8 +38,10 @@
  */
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -50,7 +50,6 @@
 
 #include "analysis/analyze.hh"
 #include "channel/channel_registry.hh"
-#include "exp/perf.hh"
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
@@ -60,7 +59,6 @@
 #include "obs/progress.hh"
 #include "obs/trace.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 
 namespace
 {
@@ -84,8 +82,6 @@ usage()
         "  run --all            run every registered scenario\n"
         "  sweep --gadget=NAME  sweep a gadget over a parameter grid\n"
         "  sweep --channel=NAME sweep a covert channel over a grid\n"
-        "  perf                 self-profile the simulator, write "
-        "BENCH_hr_perf.json\n"
         "  analyze <target>...  static leakage analysis of gadgets, "
         "channels, or demo programs\n"
         "  analyze --all        analyze every gadget, channel, and "
@@ -142,17 +138,7 @@ usage()
         "(repeatable)\n"
         "  --format=F           table (default) or json\n"
         "  --list-programs      list the built-in annotated demo "
-        "programs\n"
-        "\n"
-        "perf options:\n"
-        "  --quick              CI-sized measurement budgets\n"
-        "  --suite=NAME         run only this suite (repeatable)\n"
-        "  --out=FILE           output path (default "
-        "BENCH_hr_perf.json)\n"
-        "  --baseline=FILE      compare against a committed baseline; "
-        "exit 1 on regression\n"
-        "  --tolerance=T        allowed regression fraction "
-        "(default 0.25)\n");
+        "programs\n");
 }
 
 /** Parsed command line. */
@@ -165,11 +151,6 @@ struct Cli
     std::string channel;
     std::vector<std::string> grid_args;
     bool trials_given = false;
-    bool quick = false;
-    std::vector<std::string> suites;
-    std::string out = "BENCH_hr_perf.json";
-    std::string baseline;
-    double tolerance = 0.25;
     bool validate = true;
     bool capacity = false;
     bool list_programs = false;
@@ -198,14 +179,25 @@ struct Cli
                 fatalIf(++i >= argc, "--" + flag + " needs a value");
                 return std::string(argv[i]);
             };
+            // The whole text, in base 10, as ParamSet::getInt reads it.
             auto integer = [&](const std::string &flag) {
                 const std::string text = value(flag);
-                try {
-                    return std::stoll(text);
-                } catch (const std::exception &) {
-                    fatal("--" + flag + ": '" + text +
-                          "' is not an integer");
-                }
+                char *end = nullptr;
+                errno = 0;
+                const long long v = std::strtoll(text.c_str(), &end, 10);
+                fatalIf(end == text.c_str() || *end != '\0' ||
+                            errno == ERANGE,
+                        "--" + flag + ": '" + text +
+                            "' is not an integer");
+                return v;
+            };
+            auto intFlag = [&](const std::string &flag) {
+                const long long v = integer(flag);
+                fatalIf(v < std::numeric_limits<int>::min() ||
+                            v > std::numeric_limits<int>::max(),
+                        "--" + flag + ": " + std::to_string(v) +
+                            " is out of range");
+                return static_cast<int>(v);
             };
             if (arg == "--all") {
                 cli.run_all = true;
@@ -222,28 +214,8 @@ struct Cli
             } else if (arg == "--list-programs") {
                 cli.list_programs = true;
                 cli.seen.push_back("list-programs");
-            } else if (arg == "--quick") {
-                cli.quick = true;
-                cli.seen.push_back("quick");
-            } else if (matches("suite")) {
-                cli.suites.push_back(value("suite"));
-                cli.seen.push_back("suite");
-            } else if (matches("out")) {
-                cli.out = value("out");
-                cli.seen.push_back("out");
-            } else if (matches("baseline")) {
-                cli.baseline = value("baseline");
-                cli.seen.push_back("baseline");
-            } else if (matches("tolerance")) {
-                const std::string text = value("tolerance");
-                try {
-                    cli.tolerance = std::stod(text);
-                } catch (const std::exception &) {
-                    fatal("--tolerance: '" + text + "' is not a number");
-                }
-                cli.seen.push_back("tolerance");
             } else if (matches("trials")) {
-                cli.options.trials = static_cast<int>(integer("trials"));
+                cli.options.trials = intFlag("trials");
                 cli.trials_given = true;
                 cli.seen.push_back("trials");
             } else if (matches("gadget")) {
@@ -256,7 +228,7 @@ struct Cli
                 cli.grid_args.push_back(value("grid"));
                 cli.seen.push_back("grid");
             } else if (matches("jobs")) {
-                cli.options.jobs = static_cast<int>(integer("jobs"));
+                cli.options.jobs = intFlag("jobs");
                 cli.seen.push_back("jobs");
             } else if (matches("seed")) {
                 cli.options.seed =
@@ -391,9 +363,6 @@ rejectStray(const Cli &cli, const std::string &command)
                                        "trials", "jobs", "seed",
                                        "profile", "param", "no-lockstep",
                                        "trace", "progress"});
-    } else if (command == "perf") {
-        allowed.insert(allowed.end(), {"quick", "suite", "out",
-                                       "baseline", "tolerance", "seed"});
     }
     for (const std::string &flag : cli.seen) {
         bool ok = false;
@@ -487,64 +456,6 @@ cmdSweep(const Cli &cli)
                              : runChannelSweep(options);
     std::fputs(result.render(cli.options.format).c_str(), stdout);
     return result.passed() ? 0 : 1;
-}
-
-int
-cmdPerf(const Cli &cli)
-{
-    PerfOptions options;
-    options.quick = cli.quick;
-    options.seed = cli.options.seed;
-    options.only = cli.suites;
-    if (cli.options.format == Format::Table)
-        options.progress = [](const std::string &text) {
-            HR_LOG(info, "  .. %s\n", text.c_str());
-        };
-
-    const std::vector<PerfSuite> suites = runPerfSuites(options);
-    fatalIf(suites.empty(), "perf: no suites selected");
-
-    Table table({"suite", "value", "unit", "wall (s)", "iters"});
-    for (const PerfSuite &suite : suites)
-        table.addRow({suite.name, Table::num(suite.value, 1),
-                      suite.unit, Table::num(suite.wallSeconds, 3),
-                      Table::integer(suite.iterations)});
-    if (cli.options.format == Format::Table)
-        table.print();
-    else
-        std::fputs((cli.options.format == Format::Json
-                        ? table.renderJson()
-                        : table.renderCsv())
-                       .c_str(),
-                   stdout);
-
-    const std::string json =
-        renderPerfJson(suites, cli.quick);
-    std::FILE *file = std::fopen(cli.out.c_str(), "w");
-    fatalIf(file == nullptr, "perf: cannot write '" + cli.out + "'");
-    std::fputs(json.c_str(), file);
-    std::fclose(file);
-    HR_LOG(info, "[perf trajectory written to %s]\n", cli.out.c_str());
-
-    if (cli.baseline.empty())
-        return 0;
-
-    std::FILE *base_file = std::fopen(cli.baseline.c_str(), "r");
-    fatalIf(base_file == nullptr,
-            "perf: cannot read baseline '" + cli.baseline + "'");
-    std::string base_json;
-    char buf[4096];
-    std::size_t got;
-    while ((got = std::fread(buf, 1, sizeof(buf), base_file)) > 0)
-        base_json.append(buf, got);
-    std::fclose(base_file);
-
-    // The report is diagnostics, not part of the formatted result:
-    // keep stdout valid JSON/CSV under --format by using stderr.
-    const PerfComparison comparison = comparePerf(
-        suites, parsePerfBaseline(base_json), cli.tolerance);
-    std::fputs(comparison.report.c_str(), stderr);
-    return comparison.passed ? 0 : 1;
 }
 
 int
@@ -713,8 +624,6 @@ runCommand(const std::string &command, const Cli &cli)
         return cmdChannels(cli);
     if (command == "sweep")
         return cmdSweep(cli);
-    if (command == "perf")
-        return cmdPerf(cli);
     if (command == "analyze")
         return cmdAnalyze(cli);
     if (command == "run" || command == "trace")

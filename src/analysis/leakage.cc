@@ -6,8 +6,8 @@
 
 #include "channel/channel_registry.hh"
 #include "gadgets/gadget_registry.hh"
+#include "obs/log.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 #include "util/memory_image.hh"
 
 namespace hr

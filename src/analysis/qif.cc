@@ -5,7 +5,7 @@
 #include <set>
 #include <sstream>
 
-#include "util/log.hh"
+#include "obs/log.hh"
 #include "util/memory_image.hh"
 
 namespace hr

@@ -1,6 +1,6 @@
 #include "attacks/flush_reload.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

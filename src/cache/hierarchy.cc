@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

@@ -4,10 +4,10 @@
 #include <cmath>
 
 #include "gadgets/gadget_registry.hh"
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "sim/noise.hh"
-#include "util/log.hh"
 
 namespace hr
 {

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "gadgets/gadget_registry.hh"
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

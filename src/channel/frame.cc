@@ -1,8 +1,8 @@
 #include "channel/frame.hh"
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/log.hh"
 
 namespace hr
 {

@@ -1,6 +1,6 @@
 #include "channel/modem.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

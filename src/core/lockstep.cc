@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/log.hh"
 #include "util/memory_image.hh"
 
 namespace hr

@@ -4,7 +4,7 @@
 #include <limits>
 
 #include "core/lockstep.hh"
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

@@ -1,6 +1,6 @@
 #include "exp/result.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

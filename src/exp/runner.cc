@@ -2,11 +2,11 @@
 
 #include <chrono>
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "obs/trace.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 
 namespace hr
 {

@@ -5,9 +5,9 @@
 #include <mutex>
 #include <thread>
 
+#include "obs/log.hh"
 #include "obs/progress.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 
 namespace hr
 {

@@ -7,11 +7,11 @@
 #include "exp/machine_pool.hh"
 #include "exp/scenario.hh"
 #include "gadgets/gadget_registry.hh"
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/progress.hh"
 #include "obs/trace.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 #include "util/table.hh"
 
 namespace hr

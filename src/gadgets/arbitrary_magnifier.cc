@@ -1,6 +1,6 @@
 #include "gadgets/arbitrary_magnifier.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

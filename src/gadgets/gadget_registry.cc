@@ -11,7 +11,7 @@
 #include "gadgets/racing.hh"
 #include "gadgets/repetition.hh"
 #include "gadgets/timers.hh"
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

@@ -1,7 +1,7 @@
 #include "gadgets/hacky_timer.hh"
 
+#include "obs/log.hh"
 #include "timer/calibration.hh"
-#include "util/log.hh"
 
 namespace hr
 {

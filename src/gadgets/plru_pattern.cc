@@ -6,7 +6,7 @@
 #include <queue>
 
 #include "gadgets/plru_magnifier.hh"
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

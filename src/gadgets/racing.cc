@@ -1,6 +1,6 @@
 #include "gadgets/racing.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

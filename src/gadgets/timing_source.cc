@@ -1,6 +1,6 @@
 #include "gadgets/timing_source.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

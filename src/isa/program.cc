@@ -3,7 +3,7 @@
 #include <atomic>
 #include <cstdio>
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "util/log.hh"
-
 namespace hr
 {
 

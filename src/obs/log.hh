@@ -1,6 +1,9 @@
 /**
  * @file
- * Tiny leveled logger behind every stderr diagnostic.
+ * Tiny leveled logger behind every stderr diagnostic, and the
+ * gem5-style error/status helpers: panic() for internal invariant
+ * violations, fatal() for user/configuration errors, warn()/inform()
+ * for status output.
  *
  * HR_LOG(level, fmt, ...) prints the caller's text verbatim (no added
  * prefixes, no reordering) when `level` is at or below the active
@@ -18,6 +21,9 @@
 #define HR_OBS_LOG_HH
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 namespace hr
@@ -93,5 +99,59 @@ constexpr LogLevel debug = LogLevel::Debug;
         if (::hr::logEnabled(::hr::loglevel::level))                   \
             ::hr::logPrint(__VA_ARGS__);                               \
     } while (0)
+
+namespace hr
+{
+
+/** Internal simulator bug: abort with a message. */
+[[noreturn]] inline void
+panic(const std::string &msg)
+{
+    std::fprintf(stderr, "panic: %s\n", msg.c_str());
+    std::abort();
+}
+
+/** User/configuration error: throw so callers (and tests) may catch. */
+[[noreturn]] inline void
+fatal(const std::string &msg)
+{
+    throw std::runtime_error("fatal: " + msg);
+}
+
+/** Non-fatal suspicious condition (leveled, like HR_LOG). */
+inline void
+warn(const std::string &msg)
+{
+    HR_LOG(warn, "warn: %s\n", msg.c_str());
+}
+
+/**
+ * Normal operating status message. Stays on stdout (part of some
+ * commands' expected output) but honors the info log level.
+ */
+inline void
+inform(const std::string &msg)
+{
+    if (logEnabled(LogLevel::Info))
+        std::fprintf(stdout, "info: %s\n", msg.c_str());
+}
+
+/** panic() unless the invariant holds. */
+inline void
+panicIf(bool cond, const std::string &msg)
+{
+    if (cond)
+        panic(msg);
+}
+
+/** fatal() unless the user-facing condition holds. */
+inline void
+fatalIf(bool cond, const std::string &msg)
+{
+    if (cond)
+        fatal(msg);
+}
+
+} // namespace hr
 
 #endif // HR_OBS_LOG_HH

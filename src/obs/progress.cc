@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
-#include "util/log.hh"
 
 namespace hr
 {

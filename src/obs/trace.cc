@@ -7,8 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
-#include "util/log.hh"
 
 namespace hr
 {

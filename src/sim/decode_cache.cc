@@ -1,8 +1,8 @@
 #include "sim/decode_cache.hh"
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/log.hh"
 
 namespace hr
 {

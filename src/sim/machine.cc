@@ -2,9 +2,9 @@
 
 #include <cstring>
 
+#include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
-#include "util/log.hh"
 
 namespace hr
 {

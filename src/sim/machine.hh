@@ -178,8 +178,7 @@ class Machine
      * Resolve the shared decoded image for a program, assigning it a
      * process-unique id if it has none (or a fresh one if it was
      * mutated in place under its old id — see DecodeCache). run()
-     * does this implicitly; exposed for cache-behaviour tests and the
-     * decode_cache_hit perf suite.
+     * does this implicitly; exposed for cache-behaviour tests.
      */
     std::shared_ptr<const DecodedProgram> decodeProgram(Program &program);
 

@@ -1,6 +1,6 @@
 #include "sim/noise.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

@@ -1,6 +1,6 @@
 #include "sim/profiles.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 #include "util/params.hh"
 
 namespace hr

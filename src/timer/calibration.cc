@@ -1,6 +1,6 @@
 #include "timer/calibration.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

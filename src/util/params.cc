@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

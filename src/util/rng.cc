@@ -1,6 +1,6 @@
 #include "util/rng.hh"
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

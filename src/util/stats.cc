@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <limits>
 
-#include "util/log.hh"
+#include "obs/log.hh"
 #include "util/table.hh"
 
 namespace hr

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "util/log.hh"
+#include "obs/log.hh"
 
 namespace hr
 {

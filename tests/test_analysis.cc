@@ -17,7 +17,6 @@
 #include "analysis/leakage.hh"
 #include "channel/channel.hh"
 #include "channel/channel_registry.hh"
-#include "exp/perf.hh"
 #include "isa/program.hh"
 #include "sim/machine.hh"
 #include "sim/profiles.hh"
@@ -330,19 +329,6 @@ TEST(Analysis, UnknownProfileSuggests)
               std::string::npos)
         << message;
     EXPECT_NE(message.find("did you mean 'smt2'"), std::string::npos)
-        << message;
-}
-
-TEST(Analysis, UnknownPerfSuiteSuggests)
-{
-    PerfOptions options;
-    options.only = {"host_sped"};
-    const std::string message =
-        messageOf([&] { runPerfSuites(options); });
-    EXPECT_NE(message.find("unknown suite"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("did you mean 'host_speed'"),
-              std::string::npos)
         << message;
 }
 

@@ -16,8 +16,8 @@
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "exp/sweep.hh"
+#include "obs/log.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 
 namespace hr
 {

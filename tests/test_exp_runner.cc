@@ -13,8 +13,8 @@
 #include "exp/registry.hh"
 #include "exp/runner.hh"
 #include "isa/program.hh"
+#include "obs/log.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 
 namespace hr
 {

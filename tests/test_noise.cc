@@ -9,9 +9,9 @@
 #include <gtest/gtest.h>
 
 #include "exp/scenario.hh"
+#include "obs/log.hh"
 #include "sim/noise.hh"
 #include "sim/profiles.hh"
-#include "util/log.hh"
 
 namespace hr
 {

@@ -3,9 +3,8 @@
 # catalog (src/obs/metrics.hh) must be named `subsystem.noun_verb` —
 # a known subsystem prefix, one dot, then lowercase snake_case. The
 # registry is string-keyed and its snapshot is the stable contract
-# consumed by `hr_bench metrics`, the perf JSON's "metrics" object,
-# and CI's jobs-invariance diff, so name drift is an interface break,
-# not a style nit.
+# consumed by `hr_bench metrics` and CI's jobs-invariance diff, so
+# name drift is an interface break, not a style nit.
 #
 # Usage: tools/lint_metrics_names.sh  (run from the repo root; exits
 # nonzero listing every violation)
