@@ -447,10 +447,6 @@ cmdSweep(const Cli &cli)
     options.lockstep = cli.options.lockstep;
     for (const std::string &arg : cli.grid_args)
         options.grid.push_back(parseSweepAxis(arg));
-    if (cli.options.format == Format::Table)
-        options.progress = [](const std::string &text) {
-            HR_LOG(info, "  .. %s\n", text.c_str());
-        };
     ResultTable result = options.channel.empty()
                              ? runSweep(options)
                              : runChannelSweep(options);
@@ -537,10 +533,6 @@ cmdRun(Cli cli)
     }
 
     const bool table_mode = cli.options.format == Format::Table;
-    if (table_mode)
-        cli.options.progress = [](const std::string &text) {
-            HR_LOG(info, "  .. %s\n", text.c_str());
-        };
 
     ExperimentRunner runner(cli.options);
     bool all_passed = true;

@@ -1,14 +1,11 @@
 #include "analysis/analyze.hh"
 
-#include <algorithm>
-#include <atomic>
 #include <iomanip>
-#include <mutex>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "channel/channel_registry.hh"
+#include "exp/parallel.hh"
 #include "gadgets/gadget_registry.hh"
 #include "obs/log.hh"
 #include "sim/profiles.hh"
@@ -170,34 +167,19 @@ resolveTasks(const AnalyzeOptions &options)
 }
 
 /**
- * Per-index result slots + a shared work queue: output order is the
- * task order regardless of --jobs, and every task builds its own
- * machines/pool, so workers share nothing mutable.
+ * Per-index result slots: output order is the task order regardless
+ * of --jobs, and every task builds its own machines/pool, so workers
+ * share nothing mutable.
  */
 template <typename Report, typename Run>
 std::vector<Report>
 runTasks(const std::vector<Task> &tasks, int jobs, Run run)
 {
     std::vector<Report> reports(tasks.size());
-    const int count = static_cast<int>(tasks.size());
-    const int workers = std::max(1, std::min(jobs, count));
-    std::atomic<int> next{0};
-    auto work = [&]() {
-        for (;;) {
-            const int i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                return;
-            reports[static_cast<std::size_t>(i)] =
-                run(tasks[static_cast<std::size_t>(i)]);
-        }
-    };
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers - 1));
-    for (int t = 1; t < workers; ++t)
-        threads.emplace_back(work);
-    work();
-    for (std::thread &thread : threads)
-        thread.join();
+    parallelFor(static_cast<int>(tasks.size()), jobs, [&](int i) {
+        reports[static_cast<std::size_t>(i)] =
+            run(tasks[static_cast<std::size_t>(i)]);
+    });
     return reports;
 }
 

@@ -840,9 +840,6 @@ LockstepEngine::applyForward(std::uint64_t k)
                     k * delta));
     }
 
-    ++stats_.forwards;
-    stats_.skippedPeriods += k;
-    stats_.skippedCycles += kc;
     metrics().lockstepForwards.add();
     metrics().lockstepPeriodsSkipped.add(k);
     metrics().lockstepCyclesSkipped.add(kc);
@@ -874,7 +871,6 @@ LockstepEngine::finalizeBoundary()
 
     const std::optional<std::uint64_t> k = verify();
     if (!k) {
-        ++stats_.refusals;
         metrics().lockstepRefusals.add();
         HR_TRACE_INSTANT("lockstep", "lockstep.refusal");
         window_.pop_front();

@@ -66,16 +66,6 @@ class LockstepEngine
     /** Disarm and release per-run record storage. */
     void endRun();
 
-    /** Cumulative accounting across runs (introspection/tests). */
-    struct Stats
-    {
-        std::uint64_t forwards = 0;       ///< successful fast-forwards
-        std::uint64_t skippedPeriods = 0; ///< loop periods applied closed-form
-        std::uint64_t skippedCycles = 0;  ///< cycles applied closed-form
-        std::uint64_t refusals = 0;       ///< failed verifications
-    };
-    const Stats &stats() const { return stats_; }
-
     // ---- hooks (call sites in ooo_core.cc, guarded by the core's
     // lockstepWatch_/lockstepRec_ bools so disabled runs pay one
     // branch per hook) ----
@@ -203,7 +193,6 @@ class LockstepEngine
     static std::uint64_t branchFlipBound(std::uint64_t v, std::uint64_t d);
 
     OooCore &core_;
-    Stats stats_;
 
     // ---- per-run state ----
     ContextId primary_ = 0;

@@ -11,20 +11,6 @@ namespace hr
 
 OooCore::~OooCore() = default;
 
-OooCore::LockstepSummary
-OooCore::lockstepSummary() const
-{
-    LockstepSummary s;
-    if (lockstep_) {
-        const LockstepEngine::Stats &stats = lockstep_->stats();
-        s.forwards = stats.forwards;
-        s.skippedPeriods = stats.skippedPeriods;
-        s.skippedCycles = stats.skippedCycles;
-        s.refusals = stats.refusals;
-    }
-    return s;
-}
-
 PerfCounters
 PerfCounters::operator-(const PerfCounters &o) const
 {

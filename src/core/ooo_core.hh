@@ -100,9 +100,7 @@ struct CoreConfig
      * remaining iterations are applied in closed form instead of being
      * simulated cycle by cycle. Bit-identical to scalar execution by
      * construction — the engine refuses whenever it cannot prove the
-     * extrapolation exact — so this is a pure speed knob and is
-     * deliberately EXCLUDED from machineConfigFingerprint (machines
-     * with either setting share pool snapshots and decode caches).
+     * extrapolation exact — so this is a pure speed knob.
      */
     bool lockstep = true;
 
@@ -216,23 +214,11 @@ class OooCore
     /** Architectural registers of one context as its last run left them. */
     const std::vector<std::int64_t> &committedRegs(ContextId ctx) const;
 
-    /** Lockstep fast-forward accounting, cumulative across runs. */
-    struct LockstepSummary
-    {
-        std::uint64_t forwards = 0;       ///< successful fast-forwards
-        std::uint64_t skippedPeriods = 0; ///< loop periods applied closed-form
-        std::uint64_t skippedCycles = 0;  ///< cycles applied closed-form
-        std::uint64_t refusals = 0;       ///< failed window verifications
-    };
-
-    /** All zeros until the first eligible run constructs the engine. */
-    LockstepSummary lockstepSummary() const;
-
     /**
      * Execute a decoded program to completion (Halt commit or natural
      * end) on context 0, with every other context idle.
      *
-     * @param decoded    decoded code to run (see Machine::decodeProgram)
+     * @param decoded    decoded code to run (see decodeProgram)
      * @param program_id  assigned Program::id (keys predictor state)
      * @param initial_regs  values for registers before the first
      *                      instruction; all others start at zero

@@ -37,27 +37,10 @@ MachinePool::lease()
     metrics().poolMachinesBuilt.add();
     slot = std::make_unique<Slot>();
     slot->machine = std::make_unique<Machine>(config_);
-    {
-        // All pooled machines share one decode cache (first builder's
-        // cache wins a racing first build; DecodeCache is internally
-        // thread-safe).
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!sharedCache_)
-            sharedCache_ = slot->machine->decodeCache();
-        else
-            slot->machine->shareDecodeCache(sharedCache_);
-    }
     if (warmup_)
         warmup_(*slot->machine);
     slot->base = slot->machine->snapshot();
     return Lease(*this, std::move(slot));
-}
-
-std::shared_ptr<DecodeCache>
-MachinePool::decodeCache() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return sharedCache_;
 }
 
 void

@@ -90,22 +90,12 @@ class MachinePool
     /** Machines constructed so far (monitoring/tests). */
     std::size_t machinesBuilt() const { return built_; }
 
-    /**
-     * The decode cache shared by every pooled machine (null until the
-     * first machine is built). All machines in a pool run the same
-     * configuration, so they share one cache: a program decoded by any
-     * lease is a hit for every other, and identical programs rebuilt
-     * per trial alias to one image.
-     */
-    std::shared_ptr<DecodeCache> decodeCache() const;
-
   private:
     MachineConfig config_;
     Warmup warmup_;
-    mutable std::mutex mutex_;
+    std::mutex mutex_;
     std::vector<std::unique_ptr<Slot>> idle_;
     std::size_t built_ = 0;
-    std::shared_ptr<DecodeCache> sharedCache_;
 };
 
 } // namespace hr

@@ -32,8 +32,7 @@ ExperimentRunner::run(Scenario &scenario)
                                     : scenario.defaultProfile();
 
     ScenarioContext ctx(trials, options_.jobs, options_.seed, profile,
-                        options_.params, options_.progress,
-                        options_.lockstep);
+                        options_.params, options_.lockstep);
 
     Metrics &met = metrics();
     met.runnerScenariosRun.add();

@@ -15,7 +15,6 @@
 #define HR_EXP_RUNNER_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "exp/registry.hh"
@@ -40,9 +39,6 @@ struct RunOptions
      * --no-lockstep clears it.
      */
     bool lockstep = true;
-
-    /** Progress sink (defaults to stderr in table mode only). */
-    std::function<void(const std::string &)> progress;
 };
 
 /** Executes scenarios and assembles their reported results. */

@@ -44,7 +44,6 @@ class ScenarioContext
 
     ScenarioContext(int trials, int jobs, std::uint64_t base_seed,
                     std::string profile_name, ParamSet params,
-                    std::function<void(const std::string &)> progress,
                     bool lockstep = true);
 
     /** Requested trial/sample count (scenario default or --trials). */
@@ -88,9 +87,6 @@ class ScenarioContext
 
     /** Abbreviated run requested (--param quick=1; used by tests). */
     bool quick() const { return params_.getBool("quick", false); }
-
-    /** Progress line (stderr in table mode; never stdout). */
-    void note(const std::string &text) const;
 
     /**
      * Run fn(index, rng) for index in [0, count) across the thread
@@ -154,9 +150,8 @@ class ScenarioContext
     std::uint64_t baseSeed_;
     std::string profileName_;
     ParamSet params_;
-    std::function<void(const std::string &)> progress_;
 
-    /** Blocking index-parallel dispatch (exceptions propagate). */
+    /** parallelFor over jobs() workers, advancing the progress bar. */
     void forEachIndex(int count, const IndexBody &body) const;
 };
 

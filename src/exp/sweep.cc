@@ -53,13 +53,19 @@ expandRange(const std::string &spec, const std::string &key)
     fatalIf(hi < lo, "--grid " + key + ": empty range '" + spec + "'");
     // Refuse absurd axes before materializing them (the sweep-wide
     // point cap could otherwise only fire after an OOM-sized expand).
-    constexpr long long kMaxAxisValues = 1'000'000;
-    fatalIf((hi - lo) / step + 1 > kMaxAxisValues,
+    // Unsigned arithmetic: hi - lo and lo + i * step may not fit in
+    // long long, but always fit in its unsigned counterpart.
+    using U = unsigned long long;
+    constexpr U kMaxAxisValues = 1'000'000;
+    const U steps = (static_cast<U>(hi) - static_cast<U>(lo)) /
+                    static_cast<U>(step);
+    fatalIf(steps >= kMaxAxisValues,
             "--grid " + key + ": range '" + spec + "' expands to more "
             "than " + std::to_string(kMaxAxisValues) + " values");
     std::vector<std::string> values;
-    for (long long v = lo; v <= hi; v += step)
-        values.push_back(std::to_string(v));
+    for (U i = 0; i <= steps; ++i)
+        values.push_back(std::to_string(static_cast<long long>(
+            static_cast<U>(lo) + i * static_cast<U>(step))));
     return values;
 }
 
@@ -259,7 +265,7 @@ runSweep(const SweepOptions &options)
 
     ScenarioContext ctx(options.trials, options.jobs, options.seed,
                         options.profile, options.params,
-                        options.progress, options.lockstep);
+                        options.lockstep);
 
     // Grid points differ only in their RNG streams, so instead of
     // reconstructing a Machine per point (thousands of per-set
@@ -403,7 +409,7 @@ runChannelSweep(const SweepOptions &options)
 
     ScenarioContext ctx(options.trials, options.jobs, options.seed,
                         options.profile, options.params,
-                        options.progress, options.lockstep);
+                        options.lockstep);
 
     const MachineConfig base_config = ctx.machineConfig();
     MachinePool machine_pool(base_config);

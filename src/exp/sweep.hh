@@ -20,7 +20,6 @@
 #define HR_EXP_SWEEP_HH
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -59,9 +58,6 @@ struct SweepOptions
      * byte-identical either way. --no-lockstep clears it.
      */
     bool lockstep = true;
-
-    /** Progress sink (stderr in table mode; never stdout). */
-    std::function<void(const std::string &)> progress;
 };
 
 /**

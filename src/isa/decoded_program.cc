@@ -1,7 +1,5 @@
 #include "isa/decoded_program.hh"
 
-#include <cstring>
-
 namespace hr
 {
 
@@ -27,38 +25,7 @@ writesReg(const Instruction &inst)
     }
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t
-fnvMix(std::uint64_t hash, std::uint64_t value)
-{
-    hash ^= value;
-    return hash * kFnvPrime;
-}
-
 } // namespace
-
-std::uint64_t
-hashProgramContent(const std::vector<Instruction> &code,
-                   std::uint32_t num_regs)
-{
-    std::uint64_t hash = kFnvOffset;
-    hash = fnvMix(hash, num_regs);
-    hash = fnvMix(hash, code.size());
-    for (const Instruction &inst : code) {
-        hash = fnvMix(hash, static_cast<std::uint64_t>(inst.op));
-        hash = fnvMix(hash, inst.dst);
-        hash = fnvMix(hash, inst.src0);
-        hash = fnvMix(hash, inst.src1);
-        hash = fnvMix(hash, static_cast<std::uint64_t>(inst.imm));
-        hash = fnvMix(hash, static_cast<std::uint8_t>(inst.scale0));
-        hash = fnvMix(hash, static_cast<std::uint8_t>(inst.scale1));
-        hash = fnvMix(hash, static_cast<std::uint32_t>(inst.target));
-        hash = fnvMix(hash, inst.invert ? 1 : 0);
-    }
-    return hash;
-}
 
 bool
 sameCode(const std::vector<Instruction> &a,
@@ -86,8 +53,6 @@ decodeProgram(const Program &program)
     decoded->name = program.name;
     decoded->code = program.code;
     decoded->numRegs = program.numRegs;
-    decoded->contentHash = hashProgramContent(program.code,
-                                              program.numRegs);
 
     const auto size = static_cast<std::int32_t>(program.code.size());
     decoded->ops.resize(program.code.size());

@@ -8,11 +8,11 @@
  * re-derive the functional-unit class, the register-write predicate,
  * the next-pc kind, and the source-operand layout (including the
  * store-data slot) from the raw Instruction. A DecodedProgram
- * precomputes all of it once per program content. Decoding is a pure
+ * precomputes all of it once per Program. Decoding is a pure
  * function of the instruction stream — it reads no machine state — so
- * one decoded image is shared by every machine in a pool (see
- * sim/decode_cache.hh) and by content-identical programs rebuilt
- * fresh each trial.
+ * the Machine decodes a Program on its first run, stores the image on
+ * the Program (Program::decoded), and every later run on any machine,
+ * and every copy of the Program, reuses it.
  *
  * The decoded image owns a copy of the code, so RobEntries reference
  * instructions through it without pinning the caller's Program alive.
@@ -61,7 +61,6 @@ struct DecodedProgram
     std::vector<Instruction> code; ///< owned copy of the program code
     std::vector<DecodedOp> ops;    ///< one per instruction
     std::uint32_t numRegs = 0;
-    std::uint64_t contentHash = 0; ///< FNV-1a over code + numRegs
     /** pcs of conditional branches (predictor-keyed state). */
     std::vector<std::int32_t> branchPcs;
 
@@ -74,10 +73,6 @@ std::shared_ptr<const DecodedProgram> decodeProgram(const Program &program);
 /** Exact instruction-stream equality (field-wise, no padding reads). */
 bool sameCode(const std::vector<Instruction> &a,
               const std::vector<Instruction> &b);
-
-/** FNV-1a hash of the instruction stream and register count. */
-std::uint64_t hashProgramContent(const std::vector<Instruction> &code,
-                                 std::uint32_t num_regs);
 
 } // namespace hr
 

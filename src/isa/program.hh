@@ -7,6 +7,7 @@
 #define HR_ISA_PROGRAM_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -15,6 +16,8 @@
 
 namespace hr
 {
+
+struct DecodedProgram;
 
 /**
  * A straight-line-or-branching micro-op sequence with a stable identity.
@@ -34,6 +37,13 @@ struct Program
     /** Assigned by the Machine on first execution; 0 = unassigned. */
     std::uint64_t id = 0;
 
+    /**
+     * Decoded image, set by the Machine together with id and reused by
+     * every later run (copies share it). Mutating code in place keeps
+     * a stale image: reset id to 0 afterwards (see Machine).
+     */
+    std::shared_ptr<const DecodedProgram> decoded;
+
     std::size_t size() const { return code.size(); }
 
     /** Multi-line disassembly with indices. */
@@ -43,14 +53,14 @@ struct Program
 /**
  * Allocate a process-unique Program id (collision-free, monotonic).
  *
- * Ids key branch-predictor state and the decode cache, so two distinct
- * Programs must never share one. The counter is process-wide and never
- * rolls back — not per-machine and not part of a Machine snapshot —
- * which is what makes assignment collision-free across pool reuse and
- * snapshot/restore. Replays stay bit-identical anyway: a freshly
- * assigned id always starts with cold predictor state, and predictor
- * keys are injective per (id, pc), so the id's numeric value never
- * influences simulated timing.
+ * Ids key branch-predictor state, so two distinct Programs must never
+ * share one. The counter is process-wide and never rolls back — not
+ * per-machine and not part of a Machine snapshot — which is what makes
+ * assignment collision-free across pool reuse and snapshot/restore.
+ * Replays stay bit-identical anyway: a freshly assigned id always
+ * starts with cold predictor state, and predictor keys are injective
+ * per (id, pc), so the id's numeric value never influences simulated
+ * timing.
  */
 std::uint64_t allocateProgramId();
 

@@ -18,7 +18,7 @@
  *    (channel frames, runner trials). They are byte-identical for a
  *    fixed seed at any `--jobs`.
  *  - **runtime** metrics describe how the runtime chose to execute
- *    (pool reuse, decode-cache hits, lockstep forwards). They are
+ *    (pool reuse, decoded-image reuse, lockstep forwards). They are
  *    deterministic for a fixed (seed, jobs, flags) tuple but
  *    legitimately differ across worker counts.
  *
@@ -246,7 +246,8 @@ class Metrics
     MetricCounter batchFollowersStepped{*this, "batch.followers_stepped",
                                   false};
 
-    // ---- decode: shared DecodeCache -------------------------------
+    // ---- decode: per-Program decoded images. aliases_total is
+    // retired and always 0; perfbench/run.py --trace 1 reads it.
     MetricCounter decodeHits{*this, "decode.hits_total", false};
     MetricCounter decodeAliases{*this, "decode.aliases_total", false};
     MetricCounter decodeMisses{*this, "decode.misses_total", false};

@@ -1,7 +1,5 @@
 #include "sim/machine.hh"
 
-#include <cstring>
-
 #include "obs/log.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -19,6 +17,46 @@ noteMachineRun(ContextId ctx, const RunResult &result)
     metrics().machineRuns.add();
     metrics().machineRunInstrs.observe(result.counters.committedInstrs);
     HR_TRACE_COUNTER("sim", "sim.cycles", ctx, result.endCycle);
+}
+
+/**
+ * The decoded image of @p program, assigning its id and image together
+ * on first use. A program whose code size or register count no longer
+ * matches its image was mutated in place under its old id: it gets a
+ * fresh id (cold predictor state, so simulated timing is unaffected)
+ * and a new image.
+ */
+const std::shared_ptr<const DecodedProgram> &
+programImage(Program &program)
+{
+    if (program.id != 0 && program.decoded) {
+        const DecodedProgram &image = *program.decoded;
+        // O(1) check: this runs per machine call, so a deep compare
+        // would cost as much as the decode it avoids. Same-size
+        // in-place mutation under a live id is a contract violation
+        // only debug builds pay to detect.
+        if (image.numRegs == program.numRegs &&
+            image.code.size() == program.code.size()) {
+#ifndef NDEBUG
+            fatalIf(!sameCode(image.code, program.code),
+                    "Machine: program '" + program.name +
+                        "' was mutated in place under a live id; "
+                        "reset program.id = 0 after mutating code");
+#endif
+            metrics().decodeHits.add();
+            return program.decoded;
+        }
+        metrics().decodeInvalidations.add();
+        HR_TRACE_INSTANT1("decode", "decode.invalidate", "program",
+                          program.id);
+        program.id = 0;
+    }
+    if (program.id == 0)
+        program.id = allocateProgramId();
+    metrics().decodeMisses.add();
+    HR_TRACE_INSTANT1("decode", "decode.miss", "program", program.id);
+    program.decoded = decodeProgram(program);
+    return program.decoded;
 }
 
 } // namespace
@@ -96,99 +134,13 @@ normalized(MachineConfig config)
     return config;
 }
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-struct Fingerprinter
-{
-    std::uint64_t hash = kFnvOffset;
-
-    void
-    mix(std::uint64_t value)
-    {
-        hash ^= value;
-        hash *= kFnvPrime;
-    }
-
-    void
-    mix(double value)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &value, sizeof(bits));
-        mix(bits);
-    }
-
-    void
-    mix(const FuConfig &fu)
-    {
-        mix(static_cast<std::uint64_t>(fu.count));
-        mix(fu.latency);
-        mix(fu.initInterval);
-    }
-
-    void
-    mix(const CacheConfig &cache)
-    {
-        mix(static_cast<std::uint64_t>(cache.numSets));
-        mix(static_cast<std::uint64_t>(cache.assoc));
-        mix(static_cast<std::uint64_t>(cache.lineBytes));
-        mix(static_cast<std::uint64_t>(cache.policy));
-        mix(cache.rngSeed);
-    }
-};
-
 } // namespace
 
-std::uint64_t
-machineConfigFingerprint(const MachineConfig &config)
-{
-    Fingerprinter fp;
-    const CoreConfig &core = config.core;
-    fp.mix(static_cast<std::uint64_t>(core.fetchWidth));
-    fp.mix(static_cast<std::uint64_t>(core.issueWidth));
-    fp.mix(static_cast<std::uint64_t>(core.commitWidth));
-    fp.mix(static_cast<std::uint64_t>(core.robSize));
-    fp.mix(static_cast<std::uint64_t>(core.iqSize));
-    fp.mix(core.intAlu);
-    fp.mix(core.intMul);
-    fp.mix(core.fpDiv);
-    fp.mix(core.memRead);
-    fp.mix(core.memWrite);
-    fp.mix(core.branchU);
-    fp.mix(core.mispredictPenalty);
-    fp.mix(std::uint64_t{core.readyOrderIssue ? 1u : 0u});
-    fp.mix(std::uint64_t{core.delayOnMiss ? 1u : 0u});
-    fp.mix(core.interruptInterval);
-    fp.mix(core.interruptOverhead);
-
-    const HierarchyConfig &mem = config.memory;
-    fp.mix(mem.l1);
-    fp.mix(mem.l2);
-    fp.mix(mem.l3);
-    fp.mix(mem.l1Latency);
-    fp.mix(mem.l2Latency);
-    fp.mix(mem.l3Latency);
-    fp.mix(mem.memLatency);
-    fp.mix(mem.l3Jitter);
-    fp.mix(mem.memJitter);
-    fp.mix(static_cast<std::uint64_t>(mem.l1Mshrs));
-    fp.mix(std::uint64_t{mem.inclusiveL3 ? 1u : 0u});
-    fp.mix(mem.rngSeed);
-    fp.mix(static_cast<std::uint64_t>(mem.contexts));
-
-    fp.mix(config.ghz);
-    fp.mix(static_cast<std::uint64_t>(config.contexts));
-    return fp.hash;
-}
-
 Machine::Machine(const MachineConfig &config)
-    : config_(normalized(config)),
-      fingerprint_(machineConfigFingerprint(config_)),
-      hierarchy_(config_.memory)
+    : config_(normalized(config)), hierarchy_(config_.memory)
 {
     core_ = std::make_unique<OooCore>(config_.core, hierarchy_, memory_,
                                       predictor_, config_.contexts);
-    decodeCache_ = std::make_shared<DecodeCache>(fingerprint_);
 }
 
 double
@@ -221,22 +173,6 @@ Machine::restore(const Snapshot &snap)
     memory_ = snap.memory;
 }
 
-std::shared_ptr<const DecodedProgram>
-Machine::decodeProgram(Program &program)
-{
-    return decodeCache_->acquire(program);
-}
-
-void
-Machine::shareDecodeCache(const std::shared_ptr<DecodeCache> &cache)
-{
-    fatalIf(cache == nullptr, "Machine::shareDecodeCache: null cache");
-    fatalIf(cache->configFingerprint() != fingerprint_,
-            "Machine::shareDecodeCache: cache was built for a machine "
-            "with a different configuration fingerprint");
-    decodeCache_ = cache;
-}
-
 RunResult
 Machine::run(Program &program,
              const std::vector<std::pair<RegId, std::int64_t>>
@@ -254,13 +190,13 @@ Machine::run(ContextId ctx, Program &program,
 {
     fatalIf(ctx >= static_cast<ContextId>(config_.contexts),
             "Machine::run: context out of range");
-    auto decoded = decodeCache_->acquire(program);
+    const auto &decoded = programImage(program);
     RunResult result =
         realRun(ctx, *decoded, program.id, initial_regs, max_cycles);
     if (recording_) {
         TraceOp op;
         op.kind = TraceOp::Kind::Run;
-        op.run.decoded = std::move(decoded);
+        op.run.decoded = decoded;
         op.run.initialRegs = initial_regs;
         op.result = result;
         recording_->ops.push_back(std::move(op));
@@ -300,7 +236,7 @@ Machine::realRun(ContextId ctx, const DecodedProgram &decoded,
         ContextProgram spec;
         spec.ctx = bg_ctx;
         spec.decoded = bg.decoded.get();
-        spec.programId = bg.program.id;
+        spec.programId = bg.id;
         others.push_back(std::move(spec));
     }
     return core_->coRun(primary, others, max_cycles);
@@ -316,7 +252,7 @@ Machine::coRun(ContextId ctx, Program &program,
     fatalIf(ctx >= static_cast<ContextId>(config_.contexts),
             "Machine::run: context out of range");
     TraceOp::RunSpec spec;
-    spec.decoded = decodeCache_->acquire(program);
+    spec.decoded = programImage(program);
     spec.initialRegs = initial_regs;
 
     ContextProgram primary;
@@ -334,7 +270,7 @@ Machine::coRun(ContextId ctx, Program &program,
         for (const ContextProgram &other : others)
             fatalIf(other.ctx == extra_ctx,
                     "Machine::coRun: two co-runners on one context");
-        spec.extras.push_back(decodeCache_->acquire(*extra_prog));
+        spec.extras.push_back(programImage(*extra_prog));
         ContextProgram cp;
         cp.ctx = extra_ctx;
         cp.decoded = spec.extras.back().get();
@@ -354,7 +290,7 @@ Machine::coRun(ContextId ctx, Program &program,
         ContextProgram cp;
         cp.ctx = bg_ctx;
         cp.decoded = bg.decoded.get();
-        cp.programId = bg.program.id;
+        cp.programId = bg.id;
         others.push_back(std::move(cp));
     }
 
@@ -384,11 +320,9 @@ Machine::setBackground(ContextId ctx, Program program)
     // if the caller's program already ran elsewhere: backgrounds are
     // machine configuration and never share predictor state with the
     // foreground instance of the same code.
-    Background bg;
-    bg.program = std::move(program);
-    bg.program.id = 0;
-    bg.decoded = decodeCache_->acquire(bg.program);
-    backgrounds_.insert_or_assign(ctx, std::move(bg));
+    program.id = 0;
+    programImage(program);
+    backgrounds_.insert_or_assign(ctx, std::move(program));
 }
 
 void

@@ -12,9 +12,9 @@
  * registered background programs (setBackground) co-run on theirs,
  * and coRun() interleaves explicit co-runners — all deterministically.
  *
- * Programs are executed through a DecodedProgram image resolved by a
- * per-configuration DecodeCache (shareable across a MachinePool). The
- * state-shaping harness operations can be recorded into a TrialTrace,
+ * Programs are executed through a DecodedProgram image that the
+ * machine decodes on a program's first run and stores on the Program
+ * itself, so later runs (and copies) reuse it. The state-shaping harness operations can be recorded into a TrialTrace,
  * which the static leakage analyzer folds into a cache footprint
  * (see analysis/leakage.hh).
  */
@@ -32,7 +32,6 @@
 #include "core/branch_predictor.hh"
 #include "core/ooo_core.hh"
 #include "isa/program.hh"
-#include "sim/decode_cache.hh"
 #include "sim/trial_trace.hh"
 #include "util/memory_image.hh"
 #include "util/types.hh"
@@ -84,13 +83,6 @@ struct MachineConfig
     /** Set the hardware-context count (fluent helper). */
     MachineConfig &withContexts(int n);
 };
-
-/**
- * Deterministic fingerprint over every configuration field that can
- * influence simulated behaviour. Keys DecodeCache sharing: a cache
- * built for one configuration refuses machines of another.
- */
-std::uint64_t machineConfigFingerprint(const MachineConfig &config);
 
 /** The simulated machine. */
 class Machine
@@ -170,33 +162,14 @@ class Machine
     double toNs(Cycle cycles) const;
     double toUs(Cycle cycles) const { return toNs(cycles) / 1e3; }
 
-    // ---- decoded-trace cache -------------------------------------------
-    /** Fingerprint of this machine's configuration. */
-    std::uint64_t configFingerprint() const { return fingerprint_; }
-
     /**
-     * Resolve the shared decoded image for a program, assigning it a
-     * process-unique id if it has none (or a fresh one if it was
-     * mutated in place under its old id — see DecodeCache). run()
-     * does this implicitly; exposed for cache-behaviour tests.
-     */
-    std::shared_ptr<const DecodedProgram> decodeProgram(Program &program);
-
-    /** The decode cache this machine resolves programs through. */
-    const std::shared_ptr<DecodeCache> &decodeCache() const
-    {
-        return decodeCache_;
-    }
-
-    /**
-     * Adopt a shared decode cache (MachinePool gives all its machines
-     * one). The cache must carry this machine's config fingerprint.
-     */
-    void shareDecodeCache(const std::shared_ptr<DecodeCache> &cache);
-
-    /**
-     * Run a program to completion on context 0. Assigns the program an
-     * id on first use (ids key branch-predictor state). If background
+     * Run a program to completion on context 0. On first use the
+     * program gets an id (ids key branch-predictor state) and its
+     * decoded image, both stored on the Program and reused by later
+     * runs. A program whose code size or register count no longer
+     * matches its image was mutated in place: it gets a fresh id and a
+     * new image. A same-size in-place mutation must reset id to 0
+     * (debug builds fatal() on one under a live id). If background
      * programs are registered (setBackground), they co-run on their
      * contexts for the duration — restarted fresh each call — and the
      * returned result is the primary context's attribution.
@@ -234,8 +207,9 @@ class Machine
      * Register a background program on a context (1..contexts-1). Every
      * subsequent run() co-runs a fresh restart of it, so the primary
      * workload always executes against the same co-resident activity.
-     * The program is copied and immediately assigned a process-unique
-     * id (the same collision-free allocator foreground programs use).
+     * The program is copied and immediately assigned a fresh
+     * process-unique id (the same collision-free allocator foreground
+     * programs use) and its own decoded image.
      * Backgrounds are machine configuration, not microarchitectural
      * state: restore() does not add or remove them.
      */
@@ -296,20 +270,13 @@ class Machine
 
   private:
     MachineConfig config_;
-    std::uint64_t fingerprint_;
     MemoryImage memory_;
     Hierarchy hierarchy_;
     BranchPredictor predictor_;
     std::unique_ptr<OooCore> core_;
-    std::shared_ptr<DecodeCache> decodeCache_;
 
     /** Registered background (noisy-neighbor) programs, by context. */
-    struct Background
-    {
-        Program program;
-        std::shared_ptr<const DecodedProgram> decoded;
-    };
-    std::map<ContextId, Background> backgrounds_;
+    std::map<ContextId, Program> backgrounds_;
 
     /** The trace being recorded into, if any. */
     TrialTrace *recording_ = nullptr;

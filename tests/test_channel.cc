@@ -355,8 +355,8 @@ TEST(ChannelSweep, JobsDoNotChangeResults)
 
 TEST(SeedPlumbing, MachineConfigMixesTheTrialSeed)
 {
-    ScenarioContext a(2, 1, 1, "noisy", {}, nullptr);
-    ScenarioContext b(2, 1, 2, "noisy", {}, nullptr);
+    ScenarioContext a(2, 1, 1, "noisy", {});
+    ScenarioContext b(2, 1, 2, "noisy", {});
     // Different trial indices and different base seeds reach
     // different machine noise streams; the plain profile config is
     // untouched.
@@ -383,8 +383,8 @@ jitterProbe()
 
 TEST(SeedPlumbing, SeededMachinesDifferAcrossSeedsNotWithin)
 {
-    ScenarioContext a(2, 1, 1, "noisy", {}, nullptr);
-    ScenarioContext b(2, 1, 2, "noisy", {}, nullptr);
+    ScenarioContext a(2, 1, 1, "noisy", {});
+    ScenarioContext b(2, 1, 2, "noisy", {});
     auto run_once = [](const MachineConfig &config) {
         Machine machine(config);
         Program prog = jitterProbe();

@@ -163,7 +163,7 @@ TEST(Runner, ChecksGateThePassFlag)
 
 TEST(Context, ParallelMapPreservesIndexOrder)
 {
-    ScenarioContext ctx(8, 4, 99, "default", {}, nullptr);
+    ScenarioContext ctx(8, 4, 99, "default", {});
     const auto values = ctx.parallelMap(100, [](int i, Rng &rng) {
         (void)rng;
         return i * 3;
@@ -175,7 +175,7 @@ TEST(Context, ParallelMapPreservesIndexOrder)
 
 TEST(Context, PerTrialRngIsSeedXorIndex)
 {
-    ScenarioContext ctx(4, 2, 1234, "default", {}, nullptr);
+    ScenarioContext ctx(4, 2, 1234, "default", {});
     EXPECT_EQ(ctx.indexSeed(0), 1234u);
     EXPECT_EQ(ctx.indexSeed(5), 1234u ^ 5u);
     // The derived streams must match a locally constructed Rng.
@@ -189,7 +189,7 @@ TEST(Context, PerTrialRngIsSeedXorIndex)
 
 TEST(Context, ExceptionsPropagateFromWorkers)
 {
-    ScenarioContext ctx(4, 4, 1, "default", {}, nullptr);
+    ScenarioContext ctx(4, 4, 1, "default", {});
     EXPECT_THROW(ctx.parallelMap(16,
                                  [](int i, Rng &) -> int {
                                      if (i == 7)
@@ -229,7 +229,7 @@ TEST(Context, PoolMapWithReseedsIsJobsInvariant)
     // The sweep shape: every index reseeds the pooled machine's noise
     // streams with its own mix, then runs and observes it.
     auto run_with = [](int jobs) {
-        ScenarioContext ctx(4, jobs, 99, "random_l1", {}, nullptr);
+        ScenarioContext ctx(4, jobs, 99, "random_l1", {});
         MachinePool pool(ctx.machineConfig());
         return ctx.poolMap(
             pool, 8, [&](int index, Rng &, Machine &machine) {

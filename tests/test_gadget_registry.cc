@@ -300,6 +300,21 @@ TEST(Sweep, GridSyntaxAndIncompatibleRows)
     EXPECT_EQ(range.values, (std::vector<std::string>{"2", "5", "8"}));
     EXPECT_THROW(parseSweepAxis("novalue"), std::runtime_error);
     EXPECT_THROW(parseSweepAxis("k=5:1"), std::runtime_error);
+    // Extreme bounds: hi - lo and v += step overflow long long, so the
+    // axis cap must still fire and the expansion must still end.
+    EXPECT_THROW(parseSweepAxis(
+                     "slow_ops=-9223372036854775808:9223372036854775807"),
+                 std::runtime_error);
+    EXPECT_EQ(parseSweepAxis(
+                  "slow_ops=9223372036854775806:9223372036854775807:2")
+                  .values,
+              (std::vector<std::string>{"9223372036854775806"}));
+    EXPECT_EQ(parseSweepAxis("k=-9223372036854775808:9223372036854775807:"
+                             "4611686018427387904")
+                  .values,
+              (std::vector<std::string>{"-9223372036854775808",
+                                        "-4611686018427387904", "0",
+                                        "4611686018427387904"}));
 
     // A gadget/profile mismatch degrades to a status row, not a crash.
     SweepOptions options;

@@ -199,7 +199,7 @@ TEST(MultiContext, CoRunTrialsAreJobCountIndependent)
                              installNoise(machine, 1,
                                           NoiseKind::PointerChase);
                          });
-        ScenarioContext ctx(8, jobs, 42, "smt2_plru", ParamSet(), {});
+        ScenarioContext ctx(8, jobs, 42, "smt2_plru", ParamSet());
         return ctx.mapTrials([&](int index, Rng &) {
             auto lease = pool.lease();
             return coRunOnce(lease.machine(), index % 3);

@@ -163,7 +163,7 @@ TEST(NoiseLibrary, DeterministicUnderSnapshotRestore)
 TEST(NoiseLibrary, CoRunsIdenticalAcrossJobs)
 {
     auto trials = [](int jobs) {
-        ScenarioContext ctx(4, jobs, 7, "smt2_plru", {}, nullptr);
+        ScenarioContext ctx(4, jobs, 7, "smt2_plru", {});
         return ctx.parallelMap(4, [&](int index, Rng &) {
             Machine machine(ctx.machineConfig());
             installNoise(machine, 1,
