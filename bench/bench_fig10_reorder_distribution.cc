@@ -40,12 +40,17 @@ class Fig10ReorderDistribution : public Scenario
 
     int defaultTrials() const override { return 120; }
 
+    ParamSchema
+    params() const override
+    {
+        return {boolKey("quick"), intKey("repeats", 1)};
+    }
+
     ResultTable
     run(ScenarioContext &ctx) override
     {
         const int repeats =
-            static_cast<int>(ctx.params().getInt(
-                "repeats", ctx.quick() ? 400 : 4000));
+            ctx.params().getInt("repeats", ctx.quick() ? 400 : 4000);
 
         // Each trial runs on its own machine with a private jitter
         // stream, so trials parallelize without sharing state. The

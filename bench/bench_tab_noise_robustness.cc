@@ -23,42 +23,19 @@ struct SweptGadget
 {
     const char *gadget;
     const char *figure;
-    /** Extra "key=value ..." overrides fitting the smt2_plru L1. */
-    const char *params;
+    ParamSet params; ///< overrides fitting the smt2_plru L1
 };
 
-constexpr SweptGadget kGadgets[] = {
-    {"repetition", "Fig. 7", ""},
-    {"pa_race", "Fig. 8/9", ""},
-    {"reorder_race", "Fig. 10", ""},
+const SweptGadget kGadgets[] = {
+    {"repetition", "Fig. 7", {}},
+    {"pa_race", "Fig. 8/9", {}},
+    {"reorder_race", "Fig. 10", {}},
     // The chain-reaction magnifier sized for the 4-way L1 (its
     // defaults assume 8 ways).
-    {"arbitrary_magnifier", "Fig. 11", "seq_len=3 par_len=3"},
-    {"arith_magnifier", "Fig. 12", ""},
-    {"hacky_pipeline", "Fig. 7-9 composed", ""},
+    {"arbitrary_magnifier", "Fig. 11", {{"seq_len", "3"}, {"par_len", "3"}}},
+    {"arith_magnifier", "Fig. 12", {}},
+    {"hacky_pipeline", "Fig. 7-9 composed", {}},
 };
-
-/** Parse the space-separated overrides of a SweptGadget. */
-ParamSet
-gadgetParams(const SweptGadget &swept)
-{
-    ParamSet extra;
-    std::string text = swept.params;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t space = text.find(' ', start);
-        const std::string arg =
-            text.substr(start, space == std::string::npos
-                                   ? std::string::npos
-                                   : space - start);
-        if (!arg.empty())
-            extra.setFromArg(arg);
-        if (space == std::string::npos)
-            break;
-        start = space + 1;
-    }
-    return extra;
-}
 
 struct Cell
 {
@@ -126,7 +103,7 @@ class TabNoiseRobustness : public Scenario
                             ->lease();
                     Machine &machine = lease.machine();
                     auto source = GadgetRegistry::instance().make(
-                        swept.gadget, machine, gadgetParams(swept));
+                        swept.gadget, machine, swept.params);
                     if (!source) {
                         cell.status = "incompatible";
                         return cell;

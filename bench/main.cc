@@ -38,10 +38,9 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -179,17 +178,12 @@ struct Cli
                 fatalIf(++i >= argc, "--" + flag + " needs a value");
                 return std::string(argv[i]);
             };
-            // The whole text, in base 10, as ParamSet::getInt reads it.
             auto integer = [&](const std::string &flag) {
                 const std::string text = value(flag);
-                char *end = nullptr;
-                errno = 0;
-                const long long v = std::strtoll(text.c_str(), &end, 10);
-                fatalIf(end == text.c_str() || *end != '\0' ||
-                            errno == ERANGE,
-                        "--" + flag + ": '" + text +
-                            "' is not an integer");
-                return v;
+                const std::optional<long long> v = parseInteger(text);
+                fatalIf(!v, "--" + flag + ": '" + text +
+                                "' is not an integer");
+                return *v;
             };
             auto intFlag = [&](const std::string &flag) {
                 const long long v = integer(flag);
@@ -281,6 +275,24 @@ emptyRegistry(const char *what)
     return 1;
 }
 
+/** Print a listing in --format; a table ends "COUNT WHAT registered". */
+int
+printListing(const Cli &cli, const Table &table, const char *what = nullptr,
+             std::size_t count = 0)
+{
+    if (cli.options.format != Format::Table) {
+        std::fputs((cli.options.format == Format::Json ? table.renderJson()
+                                                       : table.renderCsv())
+                       .c_str(),
+                   stdout);
+    } else {
+        table.print();
+        if (what)
+            std::printf("\n%zu %s registered\n", count, what);
+    }
+    return 0;
+}
+
 int
 cmdList(const Cli &cli)
 {
@@ -293,20 +305,14 @@ cmdList(const Cli &cli)
             table.addRow({scenario->name(), scenario->defaultProfile(),
                           Table::integer(scenario->defaultTrials()),
                           scenario->title()});
-        table.print();
-        std::printf("\n%zu scenarios registered\n", scenarios.size());
-        return 0;
+        return printListing(cli, table, "scenarios", scenarios.size());
     }
     Table table({"scenario", "profile", "trials", "title", "paper_claim"});
     for (Scenario *scenario : scenarios)
         table.addRow({scenario->name(), scenario->defaultProfile(),
                       Table::integer(scenario->defaultTrials()),
                       scenario->title(), scenario->paperClaim()});
-    std::fputs((cli.options.format == Format::Json ? table.renderJson()
-                                                   : table.renderCsv())
-                   .c_str(),
-               stdout);
-    return 0;
+    return printListing(cli, table);
 }
 
 int
@@ -324,15 +330,7 @@ cmdProfiles(const Cli &cli)
     Table table({"profile", "description"});
     for (const MachineProfile *profile : sorted)
         table.addRow({profile->name, profile->description});
-    if (cli.options.format == Format::Table)
-        table.print();
-    else
-        std::fputs((cli.options.format == Format::Json
-                        ? table.renderJson()
-                        : table.renderCsv())
-                       .c_str(),
-                   stdout);
-    return 0;
+    return printListing(cli, table);
 }
 
 /** Reject operands/flags a subcommand would otherwise ignore. */
@@ -384,19 +382,9 @@ cmdGadgets(const Cli &cli)
     for (const GadgetInfo *gadget : gadgets)
         table.addRow({gadget->name, gadget->kind,
                       leakageClassFor(gadget->name),
-                      capacityBoundFor(gadget->name), gadget->params,
-                      gadget->description});
-    if (cli.options.format == Format::Table) {
-        table.print();
-        std::printf("\n%zu gadgets registered\n", gadgets.size());
-    } else {
-        std::fputs((cli.options.format == Format::Json
-                        ? table.renderJson()
-                        : table.renderCsv())
-                       .c_str(),
-                   stdout);
-    }
-    return 0;
+                      capacityBoundFor(gadget->name),
+                      keyList(gadget->params), gadget->description});
+    return printListing(cli, table, "gadgets", gadgets.size());
 }
 
 int
@@ -412,18 +400,8 @@ cmdChannels(const Cli &cli)
                       channel->modulation,
                       leakageClassFor(channel->gadget),
                       capacityBoundFor(channel->gadget),
-                      channel->params, channel->description});
-    if (cli.options.format == Format::Table) {
-        table.print();
-        std::printf("\n%zu channels registered\n", channels.size());
-    } else {
-        std::fputs((cli.options.format == Format::Json
-                        ? table.renderJson()
-                        : table.renderCsv())
-                       .c_str(),
-                   stdout);
-    }
-    return 0;
+                      keyList(channel->params), channel->description});
+    return printListing(cli, table, "channels", channels.size());
 }
 
 int
@@ -461,15 +439,7 @@ cmdAnalyze(const Cli &cli)
         Table table({"program", "description"});
         for (const ProgramTarget &target : programTargets())
             table.addRow({target.name, target.description});
-        if (cli.options.format == Format::Table)
-            table.print();
-        else
-            std::fputs((cli.options.format == Format::Json
-                            ? table.renderJson()
-                            : table.renderCsv())
-                           .c_str(),
-                       stdout);
-        return 0;
+        return printListing(cli, table);
     }
 
     AnalyzeOptions options;
@@ -518,20 +488,33 @@ cmdAnalyze(const Cli &cli)
     return ok ? 0 : 1;
 }
 
+/**
+ * The scenarios named on the command line (or --all), with --param
+ * checked against the union of their declarations (Scenario::params)
+ * before any of them runs.
+ */
+std::vector<Scenario *>
+scheduledScenarios(const Cli &cli)
+{
+    std::vector<Scenario *> selected;
+    if (cli.run_all)
+        selected = ScenarioRegistry::instance().all();
+    else
+        for (const std::string &name : cli.positional)
+            selected.push_back(&ScenarioRegistry::instance().resolve(name));
+    ParamSchema schema;
+    for (const Scenario *scenario : selected)
+        schema = mergeKeys(schema, scenario->params());
+    cli.options.params.check(schema, "--param");
+    return selected;
+}
+
 int
 cmdRun(Cli cli)
 {
-    std::vector<Scenario *> selected;
-    if (cli.run_all) {
-        selected = ScenarioRegistry::instance().all();
-    } else {
-        fatalIf(cli.positional.empty(),
-                "run: name at least one scenario (or --all)");
-        for (const std::string &name : cli.positional)
-            selected.push_back(
-                &ScenarioRegistry::instance().resolve(name));
-    }
-
+    fatalIf(!cli.run_all && cli.positional.empty(),
+            "run: name at least one scenario (or --all)");
+    const std::vector<Scenario *> selected = scheduledScenarios(cli);
     const bool table_mode = cli.options.format == Format::Table;
 
     ExperimentRunner runner(cli.options);
@@ -562,15 +545,7 @@ cmdRun(Cli cli)
 int
 cmdMetrics(const Cli &cli)
 {
-    std::vector<Scenario *> selected;
-    if (cli.run_all) {
-        selected = ScenarioRegistry::instance().all();
-    } else {
-        for (const std::string &name : cli.positional)
-            selected.push_back(
-                &ScenarioRegistry::instance().resolve(name));
-    }
-
+    const std::vector<Scenario *> selected = scheduledScenarios(cli);
     bool all_passed = true;
     ExperimentRunner runner(cli.options);
     for (Scenario *scenario : selected) {

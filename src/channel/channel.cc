@@ -124,8 +124,8 @@ Channel::Channel(ChannelConfig config) : config_(std::move(config))
 {
     const GadgetInfo &gadget =
         GadgetRegistry::instance().resolve(config_.gadget);
-    config_.gadgetParams.requireKeys(GadgetRegistry::paramKeys(gadget),
-                                     "gadget '" + gadget.name + "'");
+    config_.gadgetParams.check(gadget.params,
+                               "gadget '" + gadget.name + "'");
     fatalIf(config_.frames < 1, "channel: frames must be >= 1");
     fatalIf(config_.calibrationRounds < 1,
             "channel: calibration rounds must be >= 1");

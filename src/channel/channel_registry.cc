@@ -4,6 +4,7 @@
 
 #include "gadgets/gadget_registry.hh"
 #include "obs/log.hh"
+#include "sim/noise.hh"
 
 namespace hr
 {
@@ -11,15 +12,28 @@ namespace hr
 namespace
 {
 
-/** The channel-level keys every channel accepts (see the header). */
-const char *const kChannelKeys =
-    "frame_bits,ecc,repeat,frames,calib_rounds,noise,noise_lines,"
-    "noise_unroll";
-
-bool
-isNoiseKey(const std::string &key)
+/** The channel-level keys every channel declares. */
+const ParamSchema &
+channelKeys()
 {
-    return key == "noise_lines" || key == "noise_unroll";
+    static const ParamSchema keys = [] {
+        std::vector<std::string> noise_names;
+        for (const NoiseInfo &info : noiseWorkloads())
+            noise_names.push_back(info.name);
+        return ParamSchema{
+            intKey("frame_bits", 1),   // payload bits per frame
+            choiceKey("ecc", {"none", "repetition", "hamming74"}),
+            intKey("repeat"),          // repetition factor (ecc=repetition)
+            intKey("frames", 1),       // frames per transmission
+            intKey("calib_rounds", 1), // calibration rounds per polarity
+            choiceKey("noise", noise_names), // neighbour (contexts >= 2)
+            // The rest configure the noise workload, which checks them
+            // against its own, narrower declaration.
+            intKey("noise_lines", 1),  // working-set size in cache lines
+            intKey("noise_unroll", 1), // pointer-chase steps per loop
+        };
+    }();
+    return keys;
 }
 
 } // namespace
@@ -88,49 +102,27 @@ ChannelRegistry::resolve(const std::string &name) const
           ")");
 }
 
-std::vector<std::string>
-ChannelRegistry::paramKeys(const ChannelInfo &info)
-{
-    std::vector<std::string> keys;
-    std::size_t start = 0;
-    while (start <= info.params.size()) {
-        const auto comma = info.params.find(',', start);
-        const std::string key = info.params.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        if (!key.empty())
-            keys.push_back(key);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return keys;
-}
-
 ChannelConfig
 ChannelRegistry::makeConfig(const std::string &name,
                             const ParamSet &params) const
 {
     const ChannelInfo &info = resolve(name);
-    params.requireKeys(paramKeys(info), "channel '" + info.name + "'");
+    params.check(info.params, "channel '" + info.name + "'");
     ChannelConfig config = info.defaults();
     for (const auto &[key, value] : params.entries()) {
         if (key == "frame_bits") {
-            config.frame.payloadBits =
-                static_cast<int>(params.getInt(key, 0));
+            config.frame.payloadBits = params.getInt(key, 0);
         } else if (key == "ecc") {
             config.frame.ecc = eccFromName(value);
         } else if (key == "repeat") {
-            config.frame.repeat =
-                static_cast<int>(params.getInt(key, 0));
+            config.frame.repeat = params.getInt(key, 0);
         } else if (key == "frames") {
-            config.frames = static_cast<int>(params.getInt(key, 0));
+            config.frames = params.getInt(key, 0);
         } else if (key == "calib_rounds") {
-            config.calibrationRounds =
-                static_cast<int>(params.getInt(key, 0));
+            config.calibrationRounds = params.getInt(key, 0);
         } else if (key == "noise") {
             config.noise = value;
-        } else if (isNoiseKey(key)) {
+        } else if (findKey(channelKeys(), key)) { // noise_lines, ...
             config.noiseParams.set(key, value);
         } else {
             config.gadgetParams.set(key, value);
@@ -165,8 +157,7 @@ registerBuiltinChannels(ChannelRegistry &registry)
         channel.name = std::move(name);
         channel.gadget = info.name;
         channel.modulation = modulationName(modulation);
-        channel.params = std::string(kChannelKeys) +
-                         (info.params.empty() ? "" : "," + info.params);
+        channel.params = mergeKeys(channelKeys(), info.params);
         channel.description = std::move(description);
         const std::string gadget_name = info.name;
         channel.defaults = [gadget_name, modulation, gadget_defaults] {
@@ -179,9 +170,8 @@ registerBuiltinChannels(ChannelRegistry &registry)
         registry.add(std::move(channel));
     };
 
-    ParamSet arbitrary_fit; // fits both the 4-way and 8-way L1s
-    arbitrary_fit.set("seq_len", "3");
-    arbitrary_fit.set("par_len", "3");
+    // Fits both the 4-way and 8-way L1s.
+    const ParamSet arbitrary_fit = {{"seq_len", "3"}, {"par_len", "3"}};
 
     add("ook_pa_race", "pa_race", Modulation::Ook,
         "on/off keying through the transient P/A race (any profile)");

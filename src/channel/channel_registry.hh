@@ -8,20 +8,10 @@
  * the `hr_bench channels` / `hr_bench sweep --channel` commands select
  * complete transmitter/receiver stacks without compile-time coupling.
  *
- * Channel-level parameter keys (every channel accepts them, on top of
- * its gadget's own keys):
- *
- *   frame_bits    payload bits per frame
- *   ecc           none | repetition | hamming74
- *   repeat        repetition factor (ecc=repetition)
- *   frames        frames per transmission
- *   calib_rounds  demodulator calibration rounds per polarity
- *   noise         idle | pointer_chase | stream_writer (contexts >= 2)
- *   noise_lines   noise working-set size in cache lines
- *   noise_unroll  pointer-chase steps per loop iteration
- *
- * Any other key is forwarded to the gadget (GadgetRegistry::make) and
- * validated against the gadget's documented parameter list.
+ * Every channel declares the channel-level keys (framing, calibration
+ * and the noise neighbour; see channelKeys() in channel_registry.cc)
+ * merged with its gadget's declared keys. Any key that is not
+ * channel-level is forwarded to the gadget (GadgetRegistry::make).
  */
 
 #ifndef HR_CHANNEL_CHANNEL_REGISTRY_HH
@@ -42,7 +32,7 @@ struct ChannelInfo
     std::string name;        ///< CLI-stable identifier
     std::string gadget;      ///< underlying GadgetRegistry name
     std::string modulation;  ///< "ook" | "rs2"
-    std::string params;      ///< documented parameter keys
+    ParamSchema params;      ///< declared parameter keys
     std::string description; ///< one-line human summary
     std::function<ChannelConfig()> defaults; ///< base configuration
 };
@@ -67,8 +57,9 @@ class ChannelRegistry
     const ChannelInfo &resolve(const std::string &name) const;
 
     /**
-     * Build a ChannelConfig by name: the channel's defaults with
-     * @p params applied — channel-level keys consumed here, noise_*
+     * Build a ChannelConfig by name: @p params checked against the
+     * channel's declaration (ParamSet::check), then applied to its
+     * defaults — framing keys consumed here, the other channel-level
      * keys routed to the noise workload, everything else forwarded to
      * the gadget.
      */
@@ -77,9 +68,6 @@ class ChannelRegistry
 
     /** All registered channels, sorted by name. */
     std::vector<const ChannelInfo *> all() const;
-
-    /** A channel's documented parameter keys (split from info.params). */
-    static std::vector<std::string> paramKeys(const ChannelInfo &info);
 
   private:
     std::vector<ChannelInfo> channels_;

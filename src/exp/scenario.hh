@@ -176,6 +176,12 @@ class Scenario
     /** Default trial/sample count when --trials is not given. */
     virtual int defaultTrials() const { return 1; }
 
+    /**
+     * The --param keys run() reads, checked before any scenario runs:
+     * `quick` for every scenario, plus what an override adds.
+     */
+    virtual ParamSchema params() const { return {boolKey("quick")}; }
+
     /** Execute and return the structured result. */
     virtual ResultTable run(ScenarioContext &ctx) = 0;
 };

@@ -1,6 +1,6 @@
 #include "exp/sweep.hh"
 
-#include <cstdlib>
+#include <optional>
 #include <stdexcept>
 
 #include "channel/channel_registry.hh"
@@ -20,19 +20,6 @@ namespace hr
 namespace
 {
 
-/** Parse a whole token as an integer (no trailing junk). */
-long long
-parseRangeInt(const std::string &text, const std::string &key,
-              const std::string &spec)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text.c_str(), &end, 10);
-    fatalIf(end == text.c_str() || *end != '\0',
-            "--grid " + key + ": bad range '" + spec +
-                "' (use lo:hi[:step])");
-    return v;
-}
-
 /** Expand "lo:hi[:step]" into an inclusive integer range. */
 std::vector<std::string>
 expandRange(const std::string &spec, const std::string &key)
@@ -46,26 +33,28 @@ expandRange(const std::string &spec, const std::string &key)
                                    : second - first - 1);
     const std::string step_text =
         second == std::string::npos ? "1" : spec.substr(second + 1);
-    const long long lo = parseRangeInt(lo_text, key, spec);
-    const long long hi = parseRangeInt(hi_text, key, spec);
-    const long long step = parseRangeInt(step_text, key, spec);
-    fatalIf(step <= 0, "--grid " + key + ": step must be positive");
-    fatalIf(hi < lo, "--grid " + key + ": empty range '" + spec + "'");
+    const std::optional<long long> lo = parseInteger(lo_text);
+    const std::optional<long long> hi = parseInteger(hi_text);
+    const std::optional<long long> step = parseInteger(step_text);
+    fatalIf(!lo || !hi || !step, "--grid " + key + ": bad range '" +
+                                     spec + "' (use lo:hi[:step])");
+    fatalIf(*step <= 0, "--grid " + key + ": step must be positive");
+    fatalIf(*hi < *lo, "--grid " + key + ": empty range '" + spec + "'");
     // Refuse absurd axes before materializing them (the sweep-wide
     // point cap could otherwise only fire after an OOM-sized expand).
     // Unsigned arithmetic: hi - lo and lo + i * step may not fit in
     // long long, but always fit in its unsigned counterpart.
     using U = unsigned long long;
     constexpr U kMaxAxisValues = 1'000'000;
-    const U steps = (static_cast<U>(hi) - static_cast<U>(lo)) /
-                    static_cast<U>(step);
+    const U steps = (static_cast<U>(*hi) - static_cast<U>(*lo)) /
+                    static_cast<U>(*step);
     fatalIf(steps >= kMaxAxisValues,
             "--grid " + key + ": range '" + spec + "' expands to more "
             "than " + std::to_string(kMaxAxisValues) + " values");
     std::vector<std::string> values;
     for (U i = 0; i <= steps; ++i)
         values.push_back(std::to_string(static_cast<long long>(
-            static_cast<U>(lo) + i * static_cast<U>(step))));
+            static_cast<U>(*lo) + i * static_cast<U>(*step))));
     return values;
 }
 
@@ -136,14 +125,21 @@ expandGrid(const std::vector<SweepAxis> &axes)
     return grid;
 }
 
-/** Keys of the grid axes as a ParamSet, for up-front validation. */
-ParamSet
-gridKeySet(const std::vector<SweepAxis> &axes)
+/**
+ * Fail before anything runs on a bad trial count or profile, or on a
+ * `--param` or `--grid` key that @p schema does not declare. Values
+ * are checked per point: one outside its declaration is an error row.
+ */
+void
+validateSweep(const SweepOptions &options, const ParamSchema &schema,
+              const std::string &subject)
 {
-    ParamSet keys;
-    for (const SweepAxis &axis : axes)
-        keys.set(axis.key, "");
-    return keys;
+    fatalIf(options.trials < 1, "sweep: trials must be >= 1");
+    machineConfigForProfile(options.profile); // fatal with known names
+    for (const auto &[key, value] : options.params.entries())
+        requireKey(schema, key, subject);
+    for (const SweepAxis &axis : options.grid)
+        requireKey(schema, axis.key, "--grid: " + subject);
 }
 
 /**
@@ -242,23 +238,9 @@ parseSweepAxis(const std::string &arg)
 ResultTable
 runSweep(const SweepOptions &options)
 {
-    fatalIf(options.trials < 1, "sweep: trials must be >= 1");
     const GadgetInfo &gadget =
         GadgetRegistry::instance().resolve(options.gadget);
-    // Validate the profile up front (fatal with the known names).
-    machineConfigForProfile(options.profile);
-
-    // Validate grid-axis and fixed parameter keys before expanding
-    // anything: a typo'd `--grid` key fails here with the gadget's
-    // valid keys and a nearest-match suggestion instead of producing a
-    // sweep full of per-point errors.
-    const std::vector<std::string> allowed_keys =
-        GadgetRegistry::paramKeys(gadget);
-    options.params.requireKeys(allowed_keys,
-                               "gadget '" + gadget.name + "'");
-    gridKeySet(options.grid)
-        .requireKeys(allowed_keys, "--grid: gadget '" + gadget.name +
-                                       "'");
+    validateSweep(options, gadget.params, "gadget '" + gadget.name + "'");
 
     const Grid grid = expandGrid(options.grid);
     const int points = grid.points;
@@ -387,23 +369,10 @@ struct ChannelSweepRow
 ResultTable
 runChannelSweep(const SweepOptions &options)
 {
-    fatalIf(options.trials < 1, "sweep: trials must be >= 1");
     const ChannelInfo &channel_info =
         ChannelRegistry::instance().resolve(options.channel);
-    // Validate the profile up front (fatal with the known names).
-    machineConfigForProfile(options.profile);
-
-    // Grid-axis and fixed keys validate against the channel's
-    // documented keys (channel-level + the gadget's own) before
-    // anything runs.
-    const std::vector<std::string> allowed_keys =
-        ChannelRegistry::paramKeys(channel_info);
-    options.params.requireKeys(allowed_keys, "channel '" +
-                                                 channel_info.name +
-                                                 "'");
-    gridKeySet(options.grid)
-        .requireKeys(allowed_keys, "--grid: channel '" +
-                                       channel_info.name + "'");
+    validateSweep(options, channel_info.params,
+                  "channel '" + channel_info.name + "'");
 
     const Grid grid = expandGrid(options.grid);
 

@@ -63,8 +63,9 @@ struct SweepOptions
 /**
  * Run the sweep: one row per grid point with slow/fast mean cycles,
  * the magnification delta, and the decoded-bit accuracy. Incompatible
- * gadget/profile combinations and per-point configuration errors are
- * reported in the row's status column instead of aborting the sweep.
+ * gadget/profile combinations and per-point configuration errors
+ * (values outside the gadget's declared bounds included) are reported
+ * in the row's status column instead of aborting the sweep.
  */
 ResultTable runSweep(const SweepOptions &options);
 
@@ -74,7 +75,7 @@ ResultTable runSweep(const SweepOptions &options);
  * effective capacity, BER, sync-failure rate, and the Shannon
  * estimate. `trials` is the number of transmissions accumulated per
  * point; grid/param keys are validated against the channel's
- * documented keys (channel-level + gadget) up front.
+ * declared keys (channel-level + gadget) up front.
  */
 ResultTable runChannelSweep(const SweepOptions &options);
 

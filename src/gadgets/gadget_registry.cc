@@ -21,46 +21,27 @@ namespace
 using Factory = std::function<std::unique_ptr<TimingSource>(
     Machine &, const ParamSet &)>;
 
-/** Parse an opcode parameter ("add", "mul", "div", "lea", "sub"). */
+/** The opcodes an `op`/`ref_op` key names (by opcodeName). */
+constexpr Opcode kKeyOpcodes[] = {Opcode::Add, Opcode::Sub, Opcode::Mul,
+                                  Opcode::Div, Opcode::Lea};
+
+ParamSpec
+opKey(std::string key)
+{
+    std::vector<std::string> names;
+    for (Opcode op : kKeyOpcodes)
+        names.push_back(opcodeName(op));
+    return choiceKey(std::move(key), std::move(names));
+}
+
+/** A declared opcode parameter (opKey), or @p def when absent. */
 Opcode
 opcodeParam(const ParamSet &params, const std::string &key, Opcode def)
 {
-    const std::string v = params.get(key, "");
-    if (v.empty())
-        return def;
-    if (v == "add")
-        return Opcode::Add;
-    if (v == "sub")
-        return Opcode::Sub;
-    if (v == "mul")
-        return Opcode::Mul;
-    if (v == "div")
-        return Opcode::Div;
-    if (v == "lea")
-        return Opcode::Lea;
-    fatal("parameter " + key + ": unknown opcode '" + v +
-          "' (use add, sub, mul, div, or lea)");
-}
-
-int
-intParam(const ParamSet &params, const std::string &key, int def)
-{
-    return static_cast<int>(params.getInt(key, def));
-}
-
-/**
- * A count parameter: fatal, naming the key, below @p min — a count
- * that cannot produce an observation (no rounds, a negative chain)
- * must not run and report a number.
- */
-int
-countParam(const ParamSet &params, const std::string &key, int def,
-           int min)
-{
-    const long long value = params.getInt(key, def);
-    fatalIf(value < min, key + " must be >= " + std::to_string(min) +
-                             " (got " + std::to_string(value) + ")");
-    return static_cast<int>(value);
+    for (Opcode op : kKeyOpcodes)
+        if (params.get(key, "") == opcodeName(op))
+            return op;
+    return def;
 }
 
 const CacheConfig &
@@ -77,49 +58,14 @@ hasPlruL1(const Machine &machine)
            l1Config(machine).policy == PolicyKind::TreePlru;
 }
 
-/** Split a comma-separated key list. */
-std::vector<std::string>
-splitKeys(const std::string &list)
-{
-    std::vector<std::string> keys;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const auto comma = list.find(',', start);
-        const std::string key = list.substr(
-            start, comma == std::string::npos ? std::string::npos
-                                              : comma - start);
-        if (!key.empty())
-            keys.push_back(key);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
-    }
-    return keys;
-}
-
-/** Comma-joined union of comma-separated key lists, first-seen order. */
-std::string
-unionKeys(const std::vector<std::string> &lists)
-{
-    std::vector<std::string> keys;
-    for (const std::string &list : lists)
-        for (const std::string &key : splitKeys(list))
-            if (std::find(keys.begin(), keys.end(), key) == keys.end())
-                keys.push_back(key);
-    std::string joined;
-    for (const std::string &key : keys)
-        joined += (joined.empty() ? "" : ",") + key;
-    return joined;
-}
-
 Factory
 plruMagnifier(PlruVariant variant)
 {
     return [variant](Machine &machine,
                      const ParamSet &p) -> std::unique_ptr<TimingSource> {
-        const int set = intParam(p, "set", 3);
-        const int repeats = countParam(p, "repeats", 500, 1);
-        const int tag_base = intParam(p, "tag_base", 16);
+        const int set = p.getInt("set", 3);
+        const int repeats = p.getInt("repeats", 500);
+        const int tag_base = p.getInt("tag_base", 16);
         if (!hasPlruL1(machine) || set >= l1Config(machine).numSets)
             return nullptr;
         return std::make_unique<PlruMagnifier>(
@@ -132,7 +78,7 @@ plruMagnifier(PlruVariant variant)
 void
 registerBuiltins(GadgetRegistry &registry)
 {
-    auto add = [&](std::string name, std::string kind, std::string params,
+    auto add = [&](std::string name, std::string kind, ParamSchema params,
                    std::string description, Factory factory) {
         GadgetInfo info;
         info.name = std::move(name);
@@ -144,56 +90,60 @@ registerBuiltins(GadgetRegistry &registry)
     };
 
     add("pa_race", "encoder",
-        "ref_op,ref_ops,op,slow_ops,fast_ops,train_rounds",
+        {opKey("ref_op"), intKey("ref_ops", 0), opKey("op"),
+         intKey("slow_ops", 0), intKey("fast_ops", 0),
+         intKey("train_rounds", 0)},
         "transient presence/absence racing gadget (section 5.1)",
         [](Machine &machine, const ParamSet &p) {
             PaRaceSourceConfig c;
             c.race.refOp = opcodeParam(p, "ref_op", c.race.refOp);
-            c.race.refOps = countParam(p, "ref_ops", c.race.refOps, 0);
+            c.race.refOps = p.getInt("ref_ops", c.race.refOps);
             c.targetOp = opcodeParam(p, "op", c.targetOp);
-            c.slowOps = countParam(p, "slow_ops", c.slowOps, 0);
-            c.fastOps = countParam(p, "fast_ops", c.fastOps, 0);
-            c.race.trainRounds =
-                countParam(p, "train_rounds", c.race.trainRounds, 0);
+            c.slowOps = p.getInt("slow_ops", c.slowOps);
+            c.fastOps = p.getInt("fast_ops", c.fastOps);
+            c.race.trainRounds = p.getInt("train_rounds", c.race.trainRounds);
             return std::make_unique<PaRaceSource>(machine, c);
         });
     add("reorder_race", "encoder",
-        "ref_op,ref_ops,op,slow_ops,fast_ops,set,tag_base,"
-        "readout_repeats",
+        {opKey("ref_op"), intKey("ref_ops", 0), opKey("op"),
+         intKey("slow_ops", 0), intKey("fast_ops", 0), intKey("set", 0),
+         intKey("tag_base"), intKey("readout_repeats", 1)},
         "non-transient reorder racing gadget (section 5.2)",
         [](Machine &machine,
            const ParamSet &p) -> std::unique_ptr<TimingSource> {
             ReorderRaceSourceConfig c;
             c.refOp = opcodeParam(p, "ref_op", c.refOp);
-            c.refOps = countParam(p, "ref_ops", c.refOps, 0);
+            c.refOps = p.getInt("ref_ops", c.refOps);
             c.targetOp = opcodeParam(p, "op", c.targetOp);
-            c.slowOps = countParam(p, "slow_ops", c.slowOps, 0);
-            c.fastOps = countParam(p, "fast_ops", c.fastOps, 0);
-            c.set = intParam(p, "set", c.set);
-            c.tagBase = intParam(p, "tag_base", c.tagBase);
-            c.readoutRepeats =
-                countParam(p, "readout_repeats", c.readoutRepeats, 1);
+            c.slowOps = p.getInt("slow_ops", c.slowOps);
+            c.fastOps = p.getInt("fast_ops", c.fastOps);
+            c.set = p.getInt("set", c.set);
+            c.tagBase = p.getInt("tag_base", c.tagBase);
+            c.readoutRepeats = p.getInt("readout_repeats", c.readoutRepeats);
             // The standalone readout (and the reorder pipeline) decode
             // the order from a W=4 tree-PLRU set.
             if (!hasPlruL1(machine))
                 return nullptr;
             return std::make_unique<ReorderRaceSource>(machine, c);
         });
-    add("plru_pa_magnifier", "amplifier", "set,repeats,tag_base",
+    const ParamSchema plru_keys = {intKey("set", 0), intKey("repeats", 1),
+                                   intKey("tag_base")};
+    add("plru_pa_magnifier", "amplifier", plru_keys,
         "W=4 tree-PLRU magnifier, presence/absence input (section 6.1)",
         plruMagnifier(PlruVariant::PresenceAbsence));
-    add("plru_reorder_magnifier", "amplifier", "set,repeats,tag_base",
+    add("plru_reorder_magnifier", "amplifier", plru_keys,
         "W=4 tree-PLRU magnifier, reorder input (section 6.2)",
         plruMagnifier(PlruVariant::Reorder));
-    add("plru_pin_magnifier", "amplifier", "set,repeats,tag_base,max_len",
+    add("plru_pin_magnifier", "amplifier",
+        mergeKeys(plru_keys, {intKey("max_len")}),
         "search-derived tree-PLRU pin pattern, any 2^k ways (section 9)",
         [](Machine &machine,
            const ParamSet &p) -> std::unique_ptr<TimingSource> {
             PinPatternMagnifierConfig c;
-            c.set = intParam(p, "set", c.set);
-            c.repeats = countParam(p, "repeats", c.repeats, 1);
-            c.tagBase = intParam(p, "tag_base", c.tagBase);
-            c.maxLen = intParam(p, "max_len", c.maxLen);
+            c.set = p.getInt("set", c.set);
+            c.repeats = p.getInt("repeats", c.repeats);
+            c.tagBase = p.getInt("tag_base", c.tagBase);
+            c.maxLen = p.getInt("max_len", c.maxLen);
             const CacheConfig &l1 = l1Config(machine);
             if (l1.policy != PolicyKind::TreePlru || l1.assoc < 4 ||
                 (l1.assoc & (l1.assoc - 1)) != 0 || c.set >= l1.numSets)
@@ -206,20 +156,22 @@ registerBuiltins(GadgetRegistry &registry)
                                                          *pattern);
         });
     add("arbitrary_magnifier", "amplifier",
-        "num_sets,seq_len,par_len,dist,repeats,prefetch,chain_pad,slack",
+        {intKey("num_sets", 1), intKey("seq_len", 1), intKey("par_len", 1),
+         intKey("dist"), intKey("repeats", 1), boolKey("prefetch"),
+         intKey("chain_pad", 0), intKey("slack", 0)},
         "replacement-policy-agnostic chain-reaction magnifier "
         "(section 6.3)",
         [](Machine &machine,
            const ParamSet &p) -> std::unique_ptr<TimingSource> {
             ArbitraryMagnifierConfig c;
-            c.numSets = countParam(p, "num_sets", c.numSets, 1);
-            c.seqLen = countParam(p, "seq_len", c.seqLen, 1);
-            c.parLen = countParam(p, "par_len", c.parLen, 1);
-            c.dist = intParam(p, "dist", c.dist);
-            c.repeats = countParam(p, "repeats", c.repeats, 1);
+            c.numSets = p.getInt("num_sets", c.numSets);
+            c.seqLen = p.getInt("seq_len", c.seqLen);
+            c.parLen = p.getInt("par_len", c.parLen);
+            c.dist = p.getInt("dist", c.dist);
+            c.repeats = p.getInt("repeats", c.repeats);
             c.prefetch = p.getBool("prefetch", c.prefetch);
-            c.chainPadOps = countParam(p, "chain_pad", c.chainPadOps, 0);
-            c.pathASlackOps = countParam(p, "slack", c.pathASlackOps, 0);
+            c.chainPadOps = p.getInt("chain_pad", c.chainPadOps);
+            c.pathASlackOps = p.getInt("slack", c.pathASlackOps);
             const CacheConfig &l1 = l1Config(machine);
             if (c.numSets > l1.numSets || c.numSets % 2 != 0 ||
                 c.dist % 2 != 0 || c.seqLen >= l1.assoc)
@@ -227,29 +179,33 @@ registerBuiltins(GadgetRegistry &registry)
             return std::make_unique<ArbitraryMagnifier>(machine, c);
         });
     add("arith_magnifier", "amplifier",
-        "stages,div_chain,par_divs,add_buffer",
+        {intKey("stages", 1), intKey("div_chain", 1), intKey("par_divs", 1),
+         intKey("add_buffer", 0)},
         "arithmetic-only divider-contention magnifier (section 6.4)",
         [](Machine &machine, const ParamSet &p) {
             ArithMagnifierConfig c;
-            c.stages = countParam(p, "stages", c.stages, 1);
-            c.divChain = countParam(p, "div_chain", c.divChain, 1);
-            c.parDivs = countParam(p, "par_divs", c.parDivs, 1);
+            c.stages = p.getInt("stages", c.stages);
+            c.divChain = p.getInt("div_chain", c.divChain);
+            c.parDivs = p.getInt("par_divs", c.parDivs);
             // 0 = auto-sized buffer.
-            c.addBuffer = countParam(p, "add_buffer", c.addBuffer, 0);
+            c.addBuffer = p.getInt("add_buffer", c.addBuffer);
             return std::make_unique<ArithMagnifier>(machine, c);
         });
-    add("repetition", "composite", "rounds,racing,envelope_ops",
+    add("repetition", "composite",
+        {intKey("rounds", 1), boolKey("racing"), intKey("envelope_ops", 0)},
         "flush+reload repetition harness (section 7.1, Fig. 7)",
         [](Machine &machine, const ParamSet &p) {
             RepetitionSourceConfig c;
-            c.rounds = countParam(p, "rounds", c.rounds, 1);
+            c.rounds = p.getInt("rounds", c.rounds);
             c.racing = p.getBool("racing", c.racing);
             c.stages.envelopeOps =
-                countParam(p, "envelope_ops", c.stages.envelopeOps, 0);
+                p.getInt("envelope_ops", c.stages.envelopeOps);
             return std::make_unique<RepetitionSource>(machine, c);
         });
     add("hacky_timer", "composite",
-        "ref_op,ref_ops,repeats,set,tag_base,resolution_ns,jitter_ns",
+        {opKey("ref_op"), intKey("ref_ops", 0), intKey("repeats", 0),
+         intKey("set", 0), intKey("tag_base"), realKey("resolution_ns", 0),
+         realKey("jitter_ns", 0)},
         "the paper's composed stealthy fine-grained timer (section 7)",
         [](Machine &machine,
            const ParamSet &p) -> std::unique_ptr<TimingSource> {
@@ -261,18 +217,18 @@ registerBuiltins(GadgetRegistry &registry)
             c.refOp = opcodeParam(p, "ref_op", c.refOp);
             // The registry's timer compares against a 12-op reference
             // (HackyTimerConfig's own default is 10).
-            c.refOps = countParam(p, "ref_ops", 12, 0);
+            c.refOps = p.getInt("ref_ops", 12);
             // 0 = auto from the timer resolution.
-            c.magnifierRepeats =
-                countParam(p, "repeats", c.magnifierRepeats, 0);
-            c.plruSet = intParam(p, "set", c.plruSet);
-            c.plruTagBase = intParam(p, "tag_base", c.plruTagBase);
+            c.magnifierRepeats = p.getInt("repeats", c.magnifierRepeats);
+            c.plruSet = p.getInt("set", c.plruSet);
+            c.plruTagBase = p.getInt("tag_base", c.plruTagBase);
             if (!hasPlruL1(machine))
                 return nullptr;
             return std::make_unique<HackyTimer>(machine, c);
         });
     add("coarse_timer", "timer",
-        "resolution_ns,jitter_ns,op,slow_ops,fast_ops",
+        {realKey("resolution_ns", 0), realKey("jitter_ns", 0), opKey("op"),
+         intKey("slow_ops", 0), intKey("fast_ops", 0)},
         "the bare quantized browser clock (the threat-model baseline)",
         [](Machine &machine, const ParamSet &p) {
             CoarseTimerSourceConfig c;
@@ -280,38 +236,39 @@ registerBuiltins(GadgetRegistry &registry)
                 p.getDouble("resolution_ns", c.timer.resolutionNs);
             c.timer.jitterNs = p.getDouble("jitter_ns", c.timer.jitterNs);
             c.targetOp = opcodeParam(p, "op", c.targetOp);
-            c.slowOps = countParam(p, "slow_ops", c.slowOps, 0);
-            c.fastOps = countParam(p, "fast_ops", c.fastOps, 0);
+            c.slowOps = p.getInt("slow_ops", c.slowOps);
+            c.fastOps = p.getInt("fast_ops", c.fastOps);
             return std::make_unique<CoarseTimerSource>(machine, c);
         });
     add("smt_contention", "timer",
-        "op,slow_ops,fast_ops,counter_unroll",
+        {opKey("op"), intKey("slow_ops", 0), intKey("fast_ops", 0),
+         intKey("counter_unroll", 1)},
         "SMT port-pressure timer: sibling-context counting progress as "
         "the clock (needs an smt profile)",
         [](Machine &machine,
            const ParamSet &p) -> std::unique_ptr<TimingSource> {
             SmtContentionConfig c;
             c.targetOp = opcodeParam(p, "op", c.targetOp);
-            c.slowOps = countParam(p, "slow_ops", c.slowOps, 0);
-            c.fastOps = countParam(p, "fast_ops", c.fastOps, 0);
-            c.counterUnroll =
-                countParam(p, "counter_unroll", c.counterUnroll, 1);
+            c.slowOps = p.getInt("slow_ops", c.slowOps);
+            c.fastOps = p.getInt("fast_ops", c.fastOps);
+            c.counterUnroll = p.getInt("counter_unroll", c.counterUnroll);
             if (machine.contexts() < 2)
                 return nullptr;
             return std::make_unique<SmtContentionTimer>(machine, c);
         });
     add("l1_contention", "timer",
-        "set,evict_lines,repeats,window_ops",
+        {intKey("set", 0), intKey("evict_lines", 0), intKey("repeats", 1),
+         intKey("window_ops", 0)},
         "L1 occupancy timer: sibling-context attributed misses as the "
         "clock (needs an smt profile)",
         [](Machine &machine,
            const ParamSet &p) -> std::unique_ptr<TimingSource> {
             L1ContentionConfig c;
-            c.set = intParam(p, "set", c.set);
+            c.set = p.getInt("set", c.set);
             // 0 = the L1's associativity.
-            c.evictLines = countParam(p, "evict_lines", c.evictLines, 0);
-            c.repeats = countParam(p, "repeats", c.repeats, 1);
-            c.windowOps = countParam(p, "window_ops", c.windowOps, 0);
+            c.evictLines = p.getInt("evict_lines", c.evictLines);
+            c.repeats = p.getInt("repeats", c.repeats);
+            c.windowOps = p.getInt("window_ops", c.windowOps);
             if (machine.contexts() < 2 ||
                 c.set >= l1Config(machine).numSets)
                 return nullptr;
@@ -319,32 +276,34 @@ registerBuiltins(GadgetRegistry &registry)
         });
 
     // The composed stacks: the stages' own registry entries, fed the
-    // pipeline's whole ParamSet, so the declared keys are the union of
-    // the pipeline's and its stages'.
+    // pipeline's whole ParamSet, so the declared keys are the merge of
+    // the pipeline's and its stages' (fatal if two declare a key
+    // differently).
     auto pipeline = [&](const std::string &name, const std::string &encoder,
                         const std::string &amplifier,
                         std::string description) {
         const GadgetInfo &enc = *registry.find(encoder);
         const GadgetInfo &amp = *registry.find(amplifier);
-        const std::string keys = unionKeys(
-            {"rounds,resolution_ns,jitter_ns", enc.params, amp.params});
-        add(name, "composite", keys, std::move(description),
+        const ParamSchema own = {intKey("rounds", 1),
+                                 realKey("resolution_ns", 0),
+                                 realKey("jitter_ns", 0)};
+        add(name, "composite",
+            mergeKeys(mergeKeys(own, enc.params), amp.params),
+            std::move(description),
             [name, make_encoder = enc.factory,
              make_amplifier = amp.factory](
                 Machine &machine,
                 const ParamSet &p) -> std::unique_ptr<TimingSource> {
                 PipelineConfig c;
-                c.rounds = countParam(p, "rounds", c.rounds, 1);
+                c.rounds = p.getInt("rounds", c.rounds);
                 c.timer.resolutionNs =
                     p.getDouble("resolution_ns", c.timer.resolutionNs);
-                c.timer.jitterNs =
-                    p.getDouble("jitter_ns", c.timer.jitterNs);
+                c.timer.jitterNs = p.getDouble("jitter_ns", c.timer.jitterNs);
                 // Span several coarse-clock ticks so a tick-boundary
                 // phase cannot flip the decision (cf. HackyTimer's
                 // autoRepeats sizing).
-                ParamSet stage_params;
-                stage_params.set("repeats", "2000");
-                stage_params = stage_params.overriddenBy(p);
+                const ParamSet stage_params =
+                    ParamSet{{"repeats", "2000"}}.overriddenBy(p);
                 auto encoder_stage = make_encoder(machine, stage_params);
                 auto amplifier_stage =
                     make_amplifier(machine, stage_params);
@@ -430,21 +389,15 @@ GadgetRegistry::resolve(const std::string &name) const
           ")");
 }
 
-std::vector<std::string>
-GadgetRegistry::paramKeys(const GadgetInfo &info)
-{
-    return splitKeys(info.params);
-}
-
 std::unique_ptr<TimingSource>
 GadgetRegistry::make(const std::string &name, Machine &machine,
                      const ParamSet &params) const
 {
     const GadgetInfo &info = resolve(name);
-    // Reject keys the gadget does not declare: a typo'd parameter
-    // must not silently configure nothing. The error lists the valid
-    // keys and suggests the nearest match.
-    params.requireKeys(paramKeys(info), "gadget '" + info.name + "'");
+    // Reject keys the gadget does not declare (a typo'd parameter must
+    // not silently configure nothing) and values outside their
+    // declared type and bounds (a count must not wrap into another).
+    params.check(info.params, "gadget '" + info.name + "'");
     return info.factory(machine, params);
 }
 

@@ -6,10 +6,12 @@
  * is constructible by a stable string name on a given Machine, so
  * scenarios, examples, and the `hr_bench gadgets` / `hr_bench sweep`
  * commands select timing primitives without compile-time coupling to
- * their concrete classes. Each entry's factory parses the ParamSet
- * straight into the gadget's own config struct and returns nullptr
- * when the gadget cannot run on the machine (wrong replacement policy,
- * associativity, set count, or too few hardware contexts).
+ * their concrete classes. Each entry declares its parameter keys (a
+ * ParamSchema that make() checks every ParamSet against); its factory
+ * reads the checked ParamSet into the gadget's own config struct, whose
+ * fields keep the defaults, and returns nullptr when the gadget cannot
+ * run on the machine (wrong replacement policy, associativity, set
+ * count, or too few hardware contexts).
  *
  * The built-in sources register from GadgetRegistry::instance() itself
  * (an explicit call, not static initializers), so a static-archive
@@ -35,7 +37,7 @@ struct GadgetInfo
 {
     std::string name;        ///< CLI-stable identifier
     std::string kind;        ///< encoder | amplifier | timer | composite
-    std::string params;      ///< documented parameter keys
+    ParamSchema params;      ///< declared parameter keys
     std::string description; ///< one-line human summary
     /** Build on a machine from (declared) params; nullptr: can't run. */
     std::function<std::unique_ptr<TimingSource>(Machine &,
@@ -65,8 +67,8 @@ class GadgetRegistry
     /**
      * Construct a source by name (exact or unique prefix) bound to
      * @p machine, configured by @p params. Fatal on an undeclared key
-     * or an invalid value; nullptr if the gadget cannot run on
-     * @p machine.
+     * or a value outside its declaration (ParamSet::check); nullptr if
+     * the gadget cannot run on @p machine.
      */
     std::unique_ptr<TimingSource> make(const std::string &name,
                                        Machine &machine,
@@ -74,9 +76,6 @@ class GadgetRegistry
 
     /** All registered gadgets, sorted by name. */
     std::vector<const GadgetInfo *> all() const;
-
-    /** A gadget's documented parameter keys (split from info.params). */
-    static std::vector<std::string> paramKeys(const GadgetInfo &info);
 
   private:
     std::vector<GadgetInfo> gadgets_;

@@ -33,12 +33,8 @@ makePointerChase(Machine &machine, const ParamSet &params)
 {
     const CacheConfig &l1 = machine.hierarchy().l1().config();
     const int default_lines = 2 * l1.numSets * l1.assoc;
-    const int lines = static_cast<int>(
-        params.getInt("noise_lines", default_lines));
-    const int unroll = static_cast<int>(
-        params.getInt("noise_unroll", 16));
-    fatalIf(lines < 2, "noise_lines must be >= 2");
-    fatalIf(unroll < 1, "noise_unroll must be >= 1");
+    const int lines = params.getInt("noise_lines", default_lines);
+    const int unroll = params.getInt("noise_unroll", 16);
 
     // A simple ring of consecutive lines covers every L1 set `lines /
     // numSets` deep; poke() keeps the installation timing-invisible.
@@ -64,9 +60,7 @@ Program
 makeStreamWriter(Machine &machine, const ParamSet &params)
 {
     const CacheConfig &l1 = machine.hierarchy().l1().config();
-    const int lines = static_cast<int>(
-        params.getInt("noise_lines", 256));
-    fatalIf(lines < 1, "noise_lines must be >= 1");
+    const int lines = params.getInt("noise_lines", 256);
 
     const Addr stride = static_cast<Addr>(l1.lineBytes);
     ProgramBuilder builder("noise_stream_writer");
@@ -89,11 +83,13 @@ const std::vector<NoiseInfo> &
 noiseWorkloads()
 {
     static const std::vector<NoiseInfo> kNoise = {
-        {"idle", NoiseKind::Idle, "no co-resident activity (control)"},
+        {"idle", NoiseKind::Idle, "no co-resident activity (control)", {}},
         {"pointer_chase", NoiseKind::PointerChase,
-         "latency-bound L1 evictor: serial chase over 2x-L1 lines"},
+         "latency-bound L1 evictor: serial chase over 2x-L1 lines",
+         {intKey("noise_lines", 2), intKey("noise_unroll", 1)}},
         {"stream_writer", NoiseKind::StreamWriter,
-         "bandwidth-bound writer: dense stores cycling over a buffer"},
+         "bandwidth-bound writer: dense stores cycling over a buffer",
+         {intKey("noise_lines", 1)}},
     };
     return kNoise;
 }
@@ -113,18 +109,17 @@ noiseWorkload(const std::string &name)
 Program
 makeNoiseProgram(Machine &machine, NoiseKind kind, const ParamSet &params)
 {
+    for (const NoiseInfo &info : noiseWorkloads())
+        if (info.kind == kind)
+            params.check(info.params,
+                         "noise workload '" + info.name + "'");
     switch (kind) {
       case NoiseKind::PointerChase:
-        params.requireKeys({"noise_lines", "noise_unroll"},
-                           "noise workload 'pointer_chase'");
         return makePointerChase(machine, params);
       case NoiseKind::StreamWriter:
-        params.requireKeys({"noise_lines"},
-                           "noise workload 'stream_writer'");
         return makeStreamWriter(machine, params);
       case NoiseKind::Idle:
       default: {
-        params.requireKeys({}, "noise workload 'idle'");
         ProgramBuilder builder("noise_idle");
         builder.halt();
         return builder.take();

@@ -44,6 +44,7 @@ struct NoiseInfo
     std::string name; ///< CLI/scenario-stable identifier
     NoiseKind kind;
     std::string description;
+    ParamSchema params; ///< declared parameter keys
 };
 
 /** All noise workloads, in stable listed order (idle first). */
@@ -55,8 +56,8 @@ const NoiseInfo &noiseWorkload(const std::string &name);
 /**
  * Build the noise program for this machine's geometry and write its
  * backing data structures (the pointer ring) into machine memory.
- * Parameters (unknown keys are fatal, with a nearest-match
- * suggestion): `noise_lines` working-set size in cache lines
+ * @p params are checked against the workload's declaration
+ * (NoiseInfo::params): `noise_lines` working-set size in cache lines
  * (defaults: 2x the L1 for pointer_chase, 256 for stream_writer);
  * `noise_unroll` chase steps per loop iteration (pointer_chase only).
  * Idle accepts no parameters and returns a program that halts

@@ -349,6 +349,17 @@ TEST(ChannelSweep, JobsDoNotChangeResults)
         runChannelSweep(wide).render(Format::Json);
     EXPECT_EQ(render1, render4);
     EXPECT_NE(render1.find("\"passed\": true"), std::string::npos);
+
+    // A frame count past int is an error row naming the key, not a
+    // row that runs as `frames=1`.
+    SweepOptions overflow = serial;
+    overflow.grid = {parseSweepAxis("frames=4294967297")};
+    const std::string rendered =
+        runChannelSweep(overflow).render(Format::Json);
+    EXPECT_NE(rendered.find("\"status\": \"error: fatal: frames must be "
+                            "<= 2147483647 (got 4294967297)"),
+              std::string::npos)
+        << rendered;
 }
 
 // ---- --seed plumbing into per-trial machine sub-streams ------------

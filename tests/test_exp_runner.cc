@@ -46,6 +46,16 @@ TEST(ParamSet, TypedAccessors)
     EXPECT_THROW(params.setFromArg("novalue"), std::runtime_error);
     params.set("bad", "zzz");
     EXPECT_THROW(params.getInt("bad", 0), std::runtime_error);
+    // Base 10 only, checked against int: a leading zero is not octal,
+    // and hex or an overflowing value is an error, not a wrapped count.
+    params.set("octal", "010");
+    EXPECT_EQ(params.getInt("octal", 0), 10);
+    for (const char *bad : {"0x10", "4294967297", "99999999999999999999"}) {
+        params.set("bad", bad);
+        EXPECT_THROW(params.getInt("bad", 0), std::runtime_error) << bad;
+    }
+    params.set("ratio", "nan");
+    EXPECT_THROW(params.getDouble("ratio", 0.0), std::runtime_error);
 }
 
 TEST(Profiles, RegistryKnowsAllProfiles)

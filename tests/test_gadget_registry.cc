@@ -329,20 +329,33 @@ TEST(Sweep, GridSyntaxAndIncompatibleRows)
 TEST(Sweep, CountsThatCannotObserveAreErrorRows)
 {
     // Rounds, chains and stage counts that cannot produce an
-    // observation are error rows naming the key, never `ok` rows; the
-    // documented `0 = auto` values still run.
+    // observation, and values outside a key's declared type or bounds
+    // (which used to wrap, parse as hex, or run as garbage), are error
+    // rows naming the key, never `ok` rows; the documented `0 = auto`
+    // values still run.
     struct Case
     {
         const char *gadget;
         const char *profile;
         const char *grid;
-        const char *key; ///< nullptr: every row must be ok
+        const char *message; ///< nullptr: every row must be ok
     };
     for (const Case &c :
-         {Case{"repetition", "default", "rounds=0,-1", "rounds"},
-          Case{"pa_race", "default", "slow_ops=-5", "slow_ops"},
-          Case{"arith_magnifier", "default", "stages=0", "stages"},
-          Case{"arbitrary_magnifier", "default", "repeats=0", "repeats"},
+         {Case{"repetition", "default", "rounds=0,-1", "rounds must be >= "},
+          Case{"pa_race", "default", "slow_ops=-5", "slow_ops must be >= "},
+          Case{"arith_magnifier", "default", "stages=0",
+               "stages must be >= "},
+          Case{"arbitrary_magnifier", "default", "repeats=0",
+               "repeats must be >= "},
+          Case{"pa_race", "default", "slow_ops=99999999999999999999",
+               "slow_ops must be a base-10 integer"},
+          Case{"pa_race", "default", "slow_ops=0x10",
+               "slow_ops must be a base-10 integer"},
+          Case{"reorder_race", "plru", "set=4294967299",
+               "set must be <= "},
+          Case{"l1_contention", "smt2_plru", "set=-1", "set must be >= "},
+          Case{"coarse_timer", "default", "resolution_ns=nan",
+               "resolution_ns must be a finite number"},
           Case{"hacky_timer", "plru", "repeats=0", nullptr},
           Case{"arith_magnifier", "default", "add_buffer=0", nullptr}}) {
         SCOPED_TRACE(std::string(c.gadget) + " " + c.grid);
@@ -357,13 +370,13 @@ TEST(Sweep, CountsThatCannotObserveAreErrorRows)
             rendered.find("\"status\": \"ok\"") != std::string::npos;
         const bool error =
             rendered.find("\"status\": \"error: ") != std::string::npos;
-        if (c.key == nullptr) {
+        if (c.message == nullptr) {
             EXPECT_TRUE(ok && !error) << rendered;
             continue;
         }
         EXPECT_TRUE(error && !ok) << rendered;
-        EXPECT_NE(rendered.find(std::string(c.key) + " must be >= "),
-                  std::string::npos);
+        EXPECT_NE(rendered.find(c.message), std::string::npos)
+            << rendered;
     }
 }
 
