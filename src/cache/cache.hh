@@ -85,7 +85,6 @@ class Cache
 
     const CacheConfig &config() const { return config_; }
     const CacheStats &stats() const { return stats_; }
-    void clearStats() { stats_ = CacheStats(); }
 
     /** Set index for an address. */
     int

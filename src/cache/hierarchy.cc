@@ -8,16 +8,15 @@ namespace hr
 {
 
 Hierarchy::Hierarchy(const HierarchyConfig &config)
-    : config_(config), l1_(config.l1), l2_(config.l2), l3_(config.l3),
-      rng_(config.rngSeed)
+    : config_(config), l1_(config.l1), l2_(config.l2), l3_(config.l3)
 {
     fatalIf(config_.l1.lineBytes != config_.l2.lineBytes ||
             config_.l2.lineBytes != config_.l3.lineBytes,
             "Hierarchy: line size must match across levels");
     fatalIf(config_.l1Mshrs <= 0, "Hierarchy: need at least one MSHR");
     fatalIf(config_.contexts < 1, "Hierarchy: need at least one context");
-    for (int ctx = 1; ctx < config_.contexts; ++ctx)
-        ctxRngs_.emplace_back(
+    for (int ctx = 0; ctx < config_.contexts; ++ctx)
+        jitter_.emplace_back(
             contextSeed(config_.rngSeed, static_cast<ContextId>(ctx)));
     ctxStats_.resize(static_cast<std::size_t>(config_.contexts));
 }
@@ -73,7 +72,7 @@ Hierarchy::access(Addr addr, Cycle now, AccessKind kind, ContextId ctx)
 
     // Jitter comes from the requesting context's private stream so
     // co-runners do not perturb each other's latency-noise sequences.
-    Rng &jitter = ctx == 0 ? rng_ : ctxRngs_[ctx - 1];
+    Rng &jitter = jitter_[ctx];
     Cycle ready;
     int level;
     if (l2_.access(line)) {
@@ -109,7 +108,7 @@ Hierarchy::applyFill(const Inflight &fill)
     // (data-return path). Hits in a level leave it resident there.
     if (fill.level >= 4) {
         auto evicted = l3_.fill(fill.line);
-        if (evicted && config_.inclusiveL3) {
+        if (evicted) {
             l1_.invalidate(*evicted);
             l2_.invalidate(*evicted);
         }
@@ -198,7 +197,7 @@ Hierarchy::warm(Addr addr, int upto_level)
 {
     const Addr line = l1_.lineAddr(addr);
     auto evicted = l3_.fill(line);
-    if (evicted && config_.inclusiveL3) {
+    if (evicted) {
         l1_.invalidate(*evicted);
         l2_.invalidate(*evicted);
     }
@@ -208,17 +207,6 @@ Hierarchy::warm(Addr addr, int upto_level)
         l1_.fill(line);
 }
 
-void
-Hierarchy::clearStats()
-{
-    l1_.clearStats();
-    l2_.clearStats();
-    l3_.clearStats();
-    memAccesses_ = 0;
-    for (ContextAccessStats &stats : ctxStats_)
-        stats = ContextAccessStats();
-}
-
 Hierarchy::Snapshot
 Hierarchy::snapshot()
 {
@@ -226,8 +214,7 @@ Hierarchy::snapshot()
     snap.l1 = l1_.snapshot();
     snap.l2 = l2_.snapshot();
     snap.l3 = l3_.snapshot();
-    snap.rng = rng_;
-    snap.ctxRngs = ctxRngs_;
+    snap.jitter = jitter_;
     snap.ctxStats = ctxStats_;
     snap.memAccesses = memAccesses_;
     snap.nextSeq = nextSeq_;
@@ -242,10 +229,9 @@ Hierarchy::restore(const Snapshot &snap)
     l1_.restore(snap.l1);
     l2_.restore(snap.l2);
     l3_.restore(snap.l3);
-    rng_ = snap.rng;
     panicIf(snap.ctxStats.size() != ctxStats_.size(),
             "Hierarchy::restore: context count mismatch");
-    ctxRngs_ = snap.ctxRngs;
+    jitter_ = snap.jitter;
     ctxStats_ = snap.ctxStats;
     memAccesses_ = snap.memAccesses;
     nextSeq_ = snap.nextSeq;
@@ -261,10 +247,9 @@ Hierarchy::reseed(std::uint64_t mem_seed, std::uint64_t l1_seed,
     config_.l1.rngSeed = l1_seed;
     config_.l2.rngSeed = l2_seed;
     config_.l3.rngSeed = l3_seed;
-    rng_.reseed(mem_seed);
-    for (std::size_t i = 0; i < ctxRngs_.size(); ++i)
-        ctxRngs_[i].reseed(contextSeed(
-            mem_seed, static_cast<ContextId>(i + 1)));
+    for (std::size_t i = 0; i < jitter_.size(); ++i)
+        jitter_[i].reseed(
+            contextSeed(mem_seed, static_cast<ContextId>(i)));
     l1_.reseedPolicies(l1_seed);
     l2_.reseedPolicies(l2_seed);
     l3_.reseedPolicies(l3_seed);
@@ -273,8 +258,8 @@ Hierarchy::reseed(std::uint64_t mem_seed, std::uint64_t l1_seed,
 std::uint64_t
 Hierarchy::rngDraws() const
 {
-    std::uint64_t draws = rng_.draws();
-    for (const Rng &rng : ctxRngs_)
+    std::uint64_t draws = 0;
+    for (const Rng &rng : jitter_)
         draws += rng.draws();
     return draws + l1_.policyRngDraws() + l2_.policyRngDraws() +
            l3_.policyRngDraws();
@@ -381,16 +366,6 @@ Hierarchy::applyCountersDelta(const CountersSample &from,
     }
     memAccesses_ += k * (to.memAccesses - from.memAccesses);
     nextSeq_ += k * (to.nextSeq - from.nextSeq);
-}
-
-void
-Hierarchy::reseedContext(ContextId ctx, std::uint64_t seed)
-{
-    panicIf(ctx >= ctxStats_.size(), "Hierarchy: context out of range");
-    if (ctx == 0)
-        rng_.reseed(seed);
-    else
-        ctxRngs_[ctx - 1].reseed(seed);
 }
 
 } // namespace hr

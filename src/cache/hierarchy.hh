@@ -6,6 +6,9 @@
  * sequence), so the relative completion order of two racing loads turns
  * into relative cache-insertion order — the exact state the paper's
  * non-transient reorder gadget (section 5.2) transmits through.
+ *
+ * The L3 is inclusive: a line evicted from it is invalidated in the L1
+ * and L2 as well.
  */
 
 #ifndef HR_CACHE_HIERARCHY_HH
@@ -44,15 +47,13 @@ struct HierarchyConfig
     Cycle memJitter = 0;
 
     int l1Mshrs = 10;       ///< max outstanding L1 misses
-    bool inclusiveL3 = true;
 
     std::uint64_t rngSeed = 7; ///< jitter stream seed
 
     /**
      * Hardware contexts sharing the hierarchy (set by the Machine from
      * MachineConfig::contexts). Sizes the per-context attribution
-     * counters and jitter streams; context 0 always uses the stream
-     * seeded with rngSeed, so single-context behaviour is unchanged.
+     * counters and jitter streams (see contextSeed).
      */
     int contexts = 1;
 };
@@ -62,8 +63,8 @@ struct HierarchyConfig
  * hierarchy. Indices 0..2 are L1..L3; hits[i] counts demand hits whose
  * data was found at level i+1, misses counts L1 demand misses, fills
  * counts lines installed on this context's behalf. These are pure
- * attribution — the per-level CacheStats aggregates are unchanged, so
- * single-context totals match the legacy counters exactly.
+ * attribution: the per-level CacheStats aggregates count every
+ * context's traffic, so on a single-context machine the two agree.
  */
 struct ContextAccessStats
 {
@@ -141,8 +142,7 @@ class Hierarchy
       private:
         friend class Hierarchy;
         Cache::Snapshot l1, l2, l3;
-        Rng rng;
-        std::vector<Rng> ctxRngs;
+        std::vector<Rng> jitter;
         std::vector<ContextAccessStats> ctxStats;
         std::uint64_t memAccesses = 0;
         std::uint64_t nextSeq = 0;
@@ -210,9 +210,6 @@ class Hierarchy
      */
     void warm(Addr addr, int upto_level = 1);
 
-    /** Clear all per-level stats counters. */
-    void clearStats();
-
     /** Capture the full memory-side state (see Machine::snapshot). */
     Snapshot snapshot();
 
@@ -220,7 +217,7 @@ class Hierarchy
     void restore(const Snapshot &snap);
 
     /**
-     * Re-seed the latency-jitter stream and per-level replacement
+     * Re-seed every context's jitter stream and per-level replacement
      * randomness as if the hierarchy had been freshly built with these
      * seeds (sweep grid points reuse one pooled machine this way).
      */
@@ -228,16 +225,9 @@ class Hierarchy
                 std::uint64_t l2_seed, std::uint64_t l3_seed);
 
     /**
-     * Re-seed one context's private jitter stream (context 0's stream
-     * is also re-seeded by reseed()). Lets noisy-neighbor sweeps vary
-     * a single co-runner's latency noise without touching the others.
-     */
-    void reseedContext(ContextId ctx, std::uint64_t seed);
-
-    /**
-     * The seed a context's jitter stream starts from: context 0 uses
-     * @p base verbatim (legacy stream), higher contexts derive an
-     * independent stream deterministically.
+     * The seed a context's jitter stream starts from: @p base itself
+     * for context 0, an independent derived stream for each higher
+     * context.
      */
     static std::uint64_t contextSeed(std::uint64_t base, ContextId ctx)
     {
@@ -302,9 +292,8 @@ class Hierarchy
   private:
     HierarchyConfig config_;
     Cache l1_, l2_, l3_;
-    Rng rng_;
-    /** Private jitter streams for contexts 1.. (context 0 uses rng_). */
-    std::vector<Rng> ctxRngs_;
+    /** Each context's jitter stream, seeded contextSeed(rngSeed, ctx). */
+    std::vector<Rng> jitter_;
     /** Per-context demand-traffic attribution. */
     std::vector<ContextAccessStats> ctxStats_;
     std::uint64_t memAccesses_ = 0;

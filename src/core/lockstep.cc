@@ -757,11 +757,16 @@ LockstepEngine::applyForward(std::uint64_t k)
     core_.cycle_ += kc;
     core_.nextSeq_ += ks;
     core_.readyStamp_ += kr;
-    core_.dispatchRotate_ +=
-        static_cast<std::uint32_t>(k) *
-        (b2.dispatchRotate - b1.dispatchRotate);
-    core_.commitRotate_ += static_cast<std::uint32_t>(k) *
-                           (b2.commitRotate - b1.commitRotate);
+    // The round-robin cursors are context indices: they advance
+    // modulo the context count.
+    const std::uint64_t n = core_.ctxs_.size();
+    auto advance = [&](std::uint32_t &cursor, std::uint32_t from,
+                       std::uint32_t to) {
+        cursor = static_cast<std::uint32_t>(
+            (cursor + (k % n) * ((to + n - from) % n)) % n);
+    };
+    advance(core_.dispatchRotate_, b1.dispatchRotate, b2.dispatchRotate);
+    advance(core_.commitRotate_, b1.commitRotate, b2.commitRotate);
 
     addScaledCounters(core_.counters_, b2.counters - b1.counters, k);
     OooCore::CtxState &c = core_.ctxs_[primary_];

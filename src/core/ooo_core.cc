@@ -232,7 +232,7 @@ OooCore::startContext(ContextId ctx, const DecodedProgram &decoded,
                           &initial_regs)
 {
     fatalIf(program_id == 0,
-            "OooCore::run: program has no id (run it via a Machine)");
+            "OooCore::coRun: program has no id (run it via a Machine)");
     panicIf(ctx >= ctxs_.size(), "OooCore: context out of range");
     CtxState &c = ctxs_[ctx];
     panicIf(c.active, "OooCore: context started twice");
@@ -650,12 +650,10 @@ OooCore::dispatchStage()
     if (draining_)
         return false;
 
-    const int n = static_cast<int>(ctxs_.size());
-
     // A context can dispatch when it has code left, is past any
     // redirect stall, and finds room in its ROB partition and the
     // shared issue queue. ROB-full counts one stall per context per
-    // dispatch opportunity, matching the single-context model.
+    // dispatch call.
     auto can_fetch = [&](CtxState &c) {
         if (!c.active || c.halted)
             return false;
@@ -676,21 +674,6 @@ OooCore::dispatchStage()
         return true;
     };
 
-    // Single-context fast path: the legacy dispatch loop, no
-    // arbitration arithmetic on the hot path.
-    if (n == 1) {
-        CtxState &c = ctxs_[0];
-        c.robFullCounted = false;
-        bool work = false;
-        for (int budget = config_.fetchWidth; budget > 0; --budget) {
-            if (!can_fetch(c))
-                break;
-            fetchOne(c);
-            work = true;
-        }
-        return work;
-    }
-
     for (CtxState &c : ctxs_)
         c.robFullCounted = false;
 
@@ -698,17 +681,16 @@ OooCore::dispatchStage()
     // contexts; the rotation cursor advances every dispatch call so no
     // context is structurally favoured.
     bool work = false;
-    std::uint32_t rotate = dispatchRotate_++;
+    std::uint32_t next = dispatchRotate_;
+    dispatchRotate_ = nextContext(next);
     for (int budget = config_.fetchWidth; budget > 0; --budget) {
         bool fetched = false;
-        for (int k = 0; k < n; ++k) {
-            CtxState &c =
-                ctxs_[(rotate + static_cast<std::uint32_t>(k)) %
-                      static_cast<std::uint32_t>(n)];
+        for (std::size_t k = 0; k < ctxs_.size(); ++k) {
+            CtxState &c = ctxs_[next];
+            next = nextContext(next);
             if (!can_fetch(c))
                 continue;
             fetchOne(c);
-            rotate += static_cast<std::uint32_t>(k) + 1;
             fetched = true;
             work = true;
             break;
@@ -722,17 +704,14 @@ OooCore::dispatchStage()
 bool
 OooCore::commitStage()
 {
-    const int n = static_cast<int>(ctxs_.size());
     int budget = config_.commitWidth;
     bool committed_any = false;
 
-    for (int k = 0; k < n && budget > 0; ++k) {
-        // n == 1 avoids the rotation arithmetic (the common case).
-        CtxState &c =
-            n == 1 ? ctxs_[0]
-                   : ctxs_[(commitRotate_ +
-                            static_cast<std::uint32_t>(k)) %
-                           static_cast<std::uint32_t>(n)];
+    std::uint32_t next = commitRotate_;
+    commitRotate_ = nextContext(next);
+    for (std::size_t k = 0; k < ctxs_.size() && budget > 0; ++k) {
+        CtxState &c = ctxs_[next];
+        next = nextContext(next);
         if (!c.active)
             continue;
         bool committed_here = false;
@@ -788,18 +767,11 @@ OooCore::commitStage()
             if (c.halted)
                 break;
         }
-        if (!committed_here && !c.rob.empty()) {
+        if (!committed_here && !c.rob.empty())
             ++c.counters.noCommitCycles;
-            if (n == 1)
-                ++counters_.noCommitCycles;
-        }
     }
-    if (n > 1) {
-        commitRotate_ = static_cast<std::uint32_t>(
-            (commitRotate_ + 1) % static_cast<std::uint32_t>(n));
-        if (!committed_any && anyRobNonEmpty())
-            ++counters_.noCommitCycles;
-    }
+    if (!committed_any && !allRobsEmpty())
+        ++counters_.noCommitCycles;
     return committed_any;
 }
 
@@ -846,19 +818,7 @@ void
 OooCore::advanceTime(Cycle target)
 {
     const Cycle delta = target - cycle_;
-    if (ctxs_.size() == 1) {
-        // Hot path: the whole-core and per-context accounting agree.
-        CtxState &c = ctxs_[0];
-        if (!c.rob.empty()) {
-            counters_.noCommitCycles += delta - 1;
-            c.counters.noCommitCycles += delta - 1;
-        }
-        counters_.cycles += delta;
-        c.counters.cycles += delta;
-        cycle_ = target;
-        return;
-    }
-    if (anyRobNonEmpty())
+    if (!allRobsEmpty())
         counters_.noCommitCycles += delta - 1;
     counters_.cycles += delta;
     for (CtxState &c : ctxs_) {
@@ -869,30 +829,6 @@ OooCore::advanceTime(Cycle target)
         c.counters.cycles += delta;
     }
     cycle_ = target;
-}
-
-RunResult
-OooCore::run(const DecodedProgram &decoded, std::uint64_t program_id,
-             const std::vector<std::pair<RegId, std::int64_t>>
-                 &initial_regs,
-             Cycle max_cycles)
-{
-    return runOn(0, decoded, program_id, initial_regs, max_cycles);
-}
-
-RunResult
-OooCore::runOn(ContextId ctx, const DecodedProgram &decoded,
-               std::uint64_t program_id,
-               const std::vector<std::pair<RegId, std::int64_t>>
-                   &initial_regs,
-               Cycle max_cycles)
-{
-    ContextProgram primary;
-    primary.ctx = ctx;
-    primary.decoded = &decoded;
-    primary.programId = program_id;
-    primary.initialRegs = initial_regs;
-    return coRun(primary, {}, max_cycles);
 }
 
 RunResult
@@ -954,13 +890,9 @@ OooCore::runLoop(ContextId primary, Cycle max_cycles)
         // A background context that ran its program to completion goes
         // idle (stops accumulating busy cycles); one that committed a
         // Halt is drained immediately so it stops holding IQ slots.
-        if (ctxs_.size() > 1) {
-            for (CtxState &c : ctxs_) {
-                if (&c == &prim || !c.active)
-                    continue;
-                if (ctxDone(c))
-                    abortContext(c);
-            }
+        for (CtxState &c : ctxs_) {
+            if (&c != &prim && c.active && ctxDone(c))
+                abortContext(c);
         }
 
         if (config_.interruptInterval > 0 && !draining_ &&
@@ -998,7 +930,7 @@ OooCore::runLoop(ContextId primary, Cycle max_cycles)
         }
         advanceTime(target);
 
-        fatalIf(cycle_ > deadline, "OooCore::run: cycle limit exceeded");
+        fatalIf(cycle_ > deadline, "OooCore::coRun: cycle limit exceeded");
     }
 
     if (lockstep_)

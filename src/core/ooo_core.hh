@@ -17,9 +17,8 @@
  *    environment the paper's contention timing sources and
  *    noisy-neighbor sweeps run in.
  *
- * A single-context core (the default) behaves bit-identically to the
- * pre-multi-context model: every arbitration loop degenerates to the
- * legacy single-stream order.
+ * A single-context core (the default) is the n = 1 case: it runs the
+ * same round-robin stages, which then always pick context 0.
  *
  * The cycle loop is event-skipping: idle stretches (e.g. a 200-cycle
  * memory stall) are jumped over, so cost scales with instruction count.
@@ -146,14 +145,14 @@ struct RunResult
 /**
  * One (context, program) pairing handed to OooCore::coRun. The core
  * executes from the decoded image (see isa/decoded_program.hh); the
- * program id travels separately because content-identical programs
- * share one decoded image while keeping distinct predictor state.
+ * program id, which keys branch-predictor state, travels with it.
  */
 struct ContextProgram
 {
     ContextId ctx = 0;
     const DecodedProgram *decoded = nullptr;
     std::uint64_t programId = 0;
+    /** Registers set before the first instruction; the rest start at 0. */
     std::vector<std::pair<RegId, std::int64_t>> initialRegs;
 };
 
@@ -172,13 +171,12 @@ class OooCore
     ~OooCore(); // out of line: LockstepEngine is incomplete here
 
     /**
-     * The core state that persists across run() calls: global time,
+     * The core state that persists across coRun() calls: global time,
      * cumulative whole-core and per-context counters, the instruction
      * sequence stream, and functional-unit reservations (which can
      * extend past a run's end). Per-run pipeline state (ROBs, queues)
-     * is rebuilt by the run entry points and never needs capturing —
-     * snapshots are taken between runs by construction (run() and
-     * coRun() are synchronous).
+     * is rebuilt by coRun() and never needs capturing — snapshots are
+     * taken between runs by construction (coRun() is synchronous).
      */
     struct Snapshot
     {
@@ -215,28 +213,6 @@ class OooCore
     const std::vector<std::int64_t> &committedRegs(ContextId ctx) const;
 
     /**
-     * Execute a decoded program to completion (Halt commit or natural
-     * end) on context 0, with every other context idle.
-     *
-     * @param decoded    decoded code to run (see decodeProgram)
-     * @param program_id  assigned Program::id (keys predictor state)
-     * @param initial_regs  values for registers before the first
-     *                      instruction; all others start at zero
-     * @param max_cycles    safety limit for this run
-     */
-    RunResult run(const DecodedProgram &decoded, std::uint64_t program_id,
-                  const std::vector<std::pair<RegId, std::int64_t>>
-                      &initial_regs = {},
-                  Cycle max_cycles = 500'000'000);
-
-    /** run() on an arbitrary context (the others stay idle). */
-    RunResult runOn(ContextId ctx, const DecodedProgram &decoded,
-                    std::uint64_t program_id,
-                    const std::vector<std::pair<RegId, std::int64_t>>
-                        &initial_regs = {},
-                    Cycle max_cycles = 500'000'000);
-
-    /**
      * Co-run: execute @p primary together with @p backgrounds, each on
      * its own hardware context, interleaved deterministically through
      * the shared pipeline. Runs until the primary program completes;
@@ -244,7 +220,9 @@ class OooCore
      * committed architectural effects and any in-flight cache fills
      * persist — a descheduled noisy neighbor, not a rollback).
      * Background programs that finish early simply leave their context
-     * idle. Returns the primary's per-context result.
+     * idle. The primary runs alone when @p backgrounds is empty (other
+     * contexts idle). Returns the primary's per-context result;
+     * @p max_cycles is a safety limit on the run's length.
      */
     RunResult coRun(const ContextProgram &primary,
                     const std::vector<ContextProgram> &backgrounds,
@@ -370,7 +348,10 @@ class OooCore
     std::uint64_t nextSeq_ = 0;
     bool draining_ = false;
     int iqOccupancy_ = 0;
-    /** Round-robin arbitration cursors (reset at each run start). */
+    /**
+     * Round-robin arbitration cursors: the context each stage tries
+     * first on its next call (reset at each run start).
+     */
     std::uint32_t dispatchRotate_ = 0;
     std::uint32_t commitRotate_ = 0;
 
@@ -397,6 +378,13 @@ class OooCore
     // --- helpers ---
     CtxState &ctxOf(const RobEntry &entry) { return ctxs_[entry.ctx]; }
 
+    /** The context after @p ctx in round-robin order. */
+    std::uint32_t
+    nextContext(std::uint32_t ctx) const
+    {
+        return ctx + 1 == ctxs_.size() ? 0 : ctx + 1;
+    }
+
     bool
     allRobsEmpty() const
     {
@@ -405,8 +393,6 @@ class OooCore
                 return false;
         return true;
     }
-
-    bool anyRobNonEmpty() const { return !allRobsEmpty(); }
 
     bool
     fetchExhausted(const CtxState &c) const

@@ -115,13 +115,6 @@ MachineConfig::withInterrupts(double interval_ms)
     return *this;
 }
 
-MachineConfig &
-MachineConfig::withContexts(int n)
-{
-    contexts = n;
-    return *this;
-}
-
 namespace
 {
 
@@ -188,58 +181,7 @@ Machine::run(ContextId ctx, Program &program,
                  &initial_regs,
              Cycle max_cycles)
 {
-    fatalIf(ctx >= static_cast<ContextId>(config_.contexts),
-            "Machine::run: context out of range");
-    const auto &decoded = programImage(program);
-    RunResult result =
-        realRun(ctx, *decoded, program.id, initial_regs, max_cycles);
-    if (recording_) {
-        TraceOp op;
-        op.kind = TraceOp::Kind::Run;
-        op.run.decoded = decoded;
-        op.run.initialRegs = initial_regs;
-        op.result = result;
-        recording_->ops.push_back(std::move(op));
-    }
-    noteMachineRun(ctx, result);
-    return result;
-}
-
-RunResult
-Machine::realRun(ContextId ctx, const DecodedProgram &decoded,
-                 std::uint64_t program_id,
-                 const std::vector<std::pair<RegId, std::int64_t>>
-                     &initial_regs,
-                 Cycle max_cycles)
-{
-    if (backgrounds_.empty()) {
-        // Fast path, and the exact legacy single-context code path.
-        if (ctx == 0)
-            return core_->run(decoded, program_id, initial_regs,
-                              max_cycles);
-        return core_->runOn(ctx, decoded, program_id, initial_regs,
-                            max_cycles);
-    }
-
-    ContextProgram primary;
-    primary.ctx = ctx;
-    primary.decoded = &decoded;
-    primary.programId = program_id;
-    primary.initialRegs = initial_regs;
-
-    // Registered backgrounds fill in every other context; each run
-    // restarts them from the top.
-    std::vector<ContextProgram> others;
-    for (auto &[bg_ctx, bg] : backgrounds_) {
-        if (bg_ctx == ctx)
-            continue;
-        ContextProgram spec;
-        spec.ctx = bg_ctx;
-        spec.decoded = bg.decoded.get();
-        spec.programId = bg.id;
-        others.push_back(std::move(spec));
-    }
-    return core_->coRun(primary, others, max_cycles);
+    return coRun(ctx, program, {}, initial_regs, max_cycles);
 }
 
 RunResult

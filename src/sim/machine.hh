@@ -14,9 +14,11 @@
  *
  * Programs are executed through a DecodedProgram image that the
  * machine decodes on a program's first run and stores on the Program
- * itself, so later runs (and copies) reuse it. The state-shaping harness operations can be recorded into a TrialTrace,
- * which the static leakage analyzer folds into a cache footprint
- * (see analysis/leakage.hh).
+ * itself, so later runs (and copies) reuse it.
+ *
+ * The state-shaping harness operations can be recorded into a
+ * TrialTrace, which the static leakage analyzer folds into a cache
+ * footprint (see analysis/leakage.hh).
  */
 
 #ifndef HR_SIM_MACHINE_HH
@@ -51,7 +53,7 @@ struct MachineConfig
      * queue and functional units and the whole cache hierarchy. The
      * ROB is partitioned evenly; fetch/dispatch and commit bandwidth
      * are round-robin arbitrated. A single-context machine (the
-     * default) is bit-identical to the pre-multi-context simulator.
+     * default) is the n = 1 case of the same pipeline.
      */
     int contexts = 1;
 
@@ -79,9 +81,6 @@ struct MachineConfig
 
     /** Enable periodic timer interrupts (default 4 ms, as in Fig. 12). */
     MachineConfig &withInterrupts(double interval_ms = 4.0);
-
-    /** Set the hardware-context count (fluent helper). */
-    MachineConfig &withContexts(int n);
 };
 
 /** The simulated machine. */
@@ -153,7 +152,6 @@ class Machine
     Hierarchy &hierarchy() { return hierarchy_; }
     const Hierarchy &hierarchy() const { return hierarchy_; }
     OooCore &core() { return *core_; }
-    BranchPredictor &predictor() { return predictor_; }
 
     /** Global cycle count. */
     Cycle now() const;
@@ -180,8 +178,9 @@ class Machine
                   Cycle max_cycles = 500'000'000);
 
     /**
-     * Run a program to completion on an arbitrary context. Contexts
-     * other than @p ctx stay idle except for registered backgrounds.
+     * Run a program to completion on an arbitrary context: coRun()
+     * with no explicit co-runners. Contexts other than @p ctx stay
+     * idle except for registered backgrounds.
      */
     RunResult run(ContextId ctx, Program &program,
                   const std::vector<std::pair<RegId, std::int64_t>>
@@ -281,11 +280,6 @@ class Machine
     /** The trace being recorded into, if any. */
     TrialTrace *recording_ = nullptr;
 
-    RunResult realRun(ContextId ctx, const DecodedProgram &decoded,
-                      std::uint64_t program_id,
-                      const std::vector<std::pair<RegId, std::int64_t>>
-                          &initial_regs,
-                      Cycle max_cycles);
     void markOpaque();
 };
 

@@ -22,9 +22,8 @@ using RegId = std::uint16_t;
 
 /**
  * Hardware execution context (SMT-style logical thread) within one
- * Machine. Context 0 is the primary/legacy context; configurations
- * with a single context behave exactly like the pre-multi-context
- * simulator.
+ * Machine. Context 0 is the primary context (Machine::run's default);
+ * a single-context machine is the n = 1 case of the same pipeline.
  */
 using ContextId = std::uint32_t;
 

@@ -6,8 +6,8 @@
  * machines with the same configuration and programs produce
  * bit-identical results, independent of worker threads), per-context
  * counters and cache attribution isolate each hardware thread's work,
- * and a single-context machine's per-context result equals the
- * whole-core delta — the legacy contract.
+ * a single-context machine's per-context result equals the whole-core
+ * delta, and run() is coRun() with no explicit co-runners.
  */
 
 #include <gtest/gtest.h>
@@ -102,8 +102,8 @@ coRunOnce(Machine &machine, int variant)
 
 TEST(MultiContext, SingleContextResultEqualsWholeCoreDelta)
 {
-    // The legacy contract: with one context, the per-context result
-    // delta is the whole-core delta, bit for bit.
+    // With one context, the per-context result delta is the
+    // whole-core delta, bit for bit.
     Machine machine(machineConfigForProfile("default"));
     const PerfCounters before = machine.core().counters();
     Program prog = makePrimary(0);
@@ -117,6 +117,92 @@ TEST(MultiContext, SingleContextResultEqualsWholeCoreDelta)
     for (int i = 0; i < 6; ++i)
         EXPECT_EQ(result.counters.issuedByClass[i],
                   delta.issuedByClass[i]);
+}
+
+void
+expectSameCounters(const PerfCounters &a, const PerfCounters &b)
+{
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.committedInstrs, b.committedInstrs);
+    EXPECT_EQ(a.committedLoads, b.committedLoads);
+    EXPECT_EQ(a.committedStores, b.committedStores);
+    EXPECT_EQ(a.squashedInstrs, b.squashedInstrs);
+    EXPECT_EQ(a.branches, b.branches);
+    EXPECT_EQ(a.mispredicts, b.mispredicts);
+    EXPECT_EQ(a.interrupts, b.interrupts);
+    for (int i = 0; i < 6; ++i)
+        EXPECT_EQ(a.issuedByClass[i], b.issuedByClass[i]);
+    EXPECT_EQ(a.noCommitCycles, b.noCommitCycles);
+    EXPECT_EQ(a.robFullStalls, b.robFullStalls);
+}
+
+TEST(MultiContext, RunEqualsCoRunWithoutExtras)
+{
+    // run() is coRun() with no explicit co-runners, on one context
+    // and next to a registered background alike.
+    struct Setup
+    {
+        const char *profile;
+        const char *background; ///< nullptr: none
+    };
+    for (const Setup &setup : {Setup{"default", nullptr},
+                               Setup{"smt2", "pointer_chase"}}) {
+        SCOPED_TRACE(setup.profile);
+        Machine ran(machineConfigForProfile(setup.profile));
+        Machine co_ran(machineConfigForProfile(setup.profile));
+        if (setup.background) {
+            installNoise(ran, 1, setup.background);
+            installNoise(co_ran, 1, setup.background);
+        }
+        // One Program for both machines, so both runs see one image.
+        Program prog = makePrimary(2);
+        const std::vector<std::pair<RegId, std::int64_t>> regs = {
+            {1, 17}};
+        TrialTrace ran_trace, co_ran_trace;
+        ran.beginRecord(ran_trace);
+        co_ran.beginRecord(co_ran_trace);
+        for (int rep = 0; rep < 2; ++rep) {
+            SCOPED_TRACE(rep);
+            const RunResult a = ran.run(0, prog, regs);
+            const RunResult b = co_ran.coRun(0, prog, {}, regs);
+            EXPECT_EQ(a.startCycle, b.startCycle);
+            EXPECT_EQ(a.endCycle, b.endCycle);
+            EXPECT_EQ(a.halted, b.halted);
+            expectSameCounters(a.counters, b.counters);
+            for (int ctx = 0; ctx < ran.contexts(); ++ctx)
+                expectSameCounters(
+                    ran.core().contextCounters(
+                        static_cast<ContextId>(ctx)),
+                    co_ran.core().contextCounters(
+                        static_cast<ContextId>(ctx)));
+            expectSameCounters(ran.core().counters(),
+                               co_ran.core().counters());
+            EXPECT_EQ(ran.core().committedRegs(0),
+                      co_ran.core().committedRegs(0));
+            EXPECT_EQ(ran.now(), co_ran.now());
+        }
+        ran.endRecord();
+        co_ran.endRecord();
+
+        ASSERT_EQ(ran_trace.ops.size(), 2u);
+        ASSERT_EQ(co_ran_trace.ops.size(), 2u);
+        EXPECT_FALSE(ran_trace.opaque);
+        EXPECT_FALSE(co_ran_trace.opaque);
+        for (std::size_t i = 0; i < ran_trace.ops.size(); ++i) {
+            const TraceOp &a = ran_trace.ops[i];
+            const TraceOp &b = co_ran_trace.ops[i];
+            EXPECT_EQ(a.kind, TraceOp::Kind::Run);
+            EXPECT_EQ(b.kind, TraceOp::Kind::Run);
+            EXPECT_EQ(a.run.decoded.get(), prog.decoded.get());
+            EXPECT_EQ(b.run.decoded.get(), prog.decoded.get());
+            EXPECT_EQ(a.run.initialRegs, regs);
+            EXPECT_EQ(b.run.initialRegs, regs);
+            EXPECT_TRUE(a.run.extras.empty());
+            EXPECT_TRUE(b.run.extras.empty());
+            EXPECT_EQ(a.result.endCycle, b.result.endCycle);
+            expectSameCounters(a.result.counters, b.result.counters);
+        }
+    }
 }
 
 TEST(MultiContext, CoRunIsDeterministicAcrossMachines)
