@@ -135,7 +135,7 @@ registerBuiltins(GadgetRegistry &registry)
         "W=4 tree-PLRU magnifier, reorder input (section 6.2)",
         plruMagnifier(PlruVariant::Reorder));
     add("plru_pin_magnifier", "amplifier",
-        mergeKeys(plru_keys, {intKey("max_len")}),
+        mergeKeys(plru_keys, {intKey("max_len", 1)}),
         "search-derived tree-PLRU pin pattern, any 2^k ways (section 9)",
         [](Machine &machine,
            const ParamSet &p) -> std::unique_ptr<TimingSource> {

@@ -4,17 +4,36 @@
  *
  * The paper gives the W = 4 pin pattern (B,C,E,C,D,C) by hand. This
  * module derives such patterns automatically for any power-of-two
- * associativity by breadth-first search over (contents, tree-bits)
- * states: find a cyclic access sequence over the non-pinned lines that
- * (a) never evicts the pinned line, (b) returns the set to its starting
- * state, and (c) misses at least once per period. This supports the
- * paper's argument (section 9) that removing W = 4 PLRU caches "will
- * only cause the attacker to change strategy".
+ * associativity: find a cyclic access sequence over the non-pinned
+ * lines that (a) never evicts the pinned line, (b) returns the set to
+ * its starting state, and (c) misses at least once per period. This
+ * supports the paper's argument (section 9) that removing W = 4 PLRU
+ * caches "will only cause the attacker to change strategy".
+ *
+ * The search runs over packed (contents, tree-bits) states
+ * (PlruStateCodec: one 64-bit word up to W = 8, two up to W = 16) held
+ * in one flat array in discovery order and found through an
+ * open-addressing table of node indices. A breadth-first expansion
+ * from the post-insertion state, over accesses to lines 1..W+1, fills
+ * a successor table of W + 1 node indices per expanded state, -1 where
+ * the access would evict the pinned line (at most 200,000 expanded
+ * states; later ones have no out-edges). Then, for each miss edge
+ * u -> v in node order (at most 400), a BFS from v back to u closes a
+ * cycle; the shortest cycle wins, ties going to the earliest edge, and
+ * the lead-in is the BFS-tree path to u.
+ *
+ * The back BFS stops at depth min(max_len - 1, best - 2), where best is
+ * the length of the best cycle so far. That bound is exact: a longer
+ * back path closes a cycle longer than max_len or no shorter than the
+ * best, which would be rejected anyway, and BFS discovers every node
+ * within the bound in the same order, through the same parent, as an
+ * unbounded BFS does.
  */
 
 #ifndef HR_GADGETS_PLRU_PATTERN_HH
 #define HR_GADGETS_PLRU_PATTERN_HH
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -34,6 +53,10 @@ class PlruSetModel
 {
   public:
     explicit PlruSetModel(int assoc);
+
+    /** A set holding @p contents by way, with tree bits @p bits. */
+    PlruSetModel(std::vector<int> contents,
+                 const std::vector<std::uint8_t> &bits);
 
     int assoc() const { return assoc_; }
 
@@ -62,6 +85,45 @@ class PlruSetModel
     int assoc_;
     std::vector<int> contents_;
     TreePlruPolicy plru_;
+};
+
+/**
+ * The packed form findPinPattern keeps a PlruSetModel state in: way w's
+ * line id + 1 (0: invalid) in a field wide enough for lines -1..W+1,
+ * then the W - 1 tree bits in heap order, packed into words() 64-bit
+ * words with no field straddling two words.
+ */
+class PlruStateCodec
+{
+  public:
+    explicit PlruStateCodec(int assoc);
+
+    int words() const { return words_; }
+
+    void pack(const PlruSetModel &model, std::uint64_t *key) const;
+    PlruSetModel unpack(const std::uint64_t *key) const;
+
+    /** PlruSetModel::access on a packed state, in place.
+     * @return true if the access missed. */
+    bool access(std::uint64_t *key, int line) const;
+
+    /** Way holding the line (-1: the first invalid way), or -1. */
+    int wayOf(const std::uint64_t *key, int line) const;
+
+  private:
+    struct Field
+    {
+        int word;
+        int shift;
+        std::uint64_t mask;
+    };
+
+    std::uint64_t get(const std::uint64_t *key, int field) const;
+    void set(std::uint64_t *key, int field, std::uint64_t value) const;
+
+    int assoc_;
+    int words_ = 0;
+    std::vector<Field> fields_; ///< W ways, then W - 1 tree nodes
 };
 
 /** A discovered pin pattern. */

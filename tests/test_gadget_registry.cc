@@ -347,6 +347,8 @@ TEST(Sweep, CountsThatCannotObserveAreErrorRows)
                "stages must be >= "},
           Case{"arbitrary_magnifier", "default", "repeats=0",
                "repeats must be >= "},
+          Case{"plru_pin_magnifier", "plru", "max_len=0,-1",
+               "max_len must be >= "},
           Case{"pa_race", "default", "slow_ops=99999999999999999999",
                "slow_ops must be a base-10 integer"},
           Case{"pa_race", "default", "slow_ops=0x10",

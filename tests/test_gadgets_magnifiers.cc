@@ -7,11 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "gadgets/arbitrary_magnifier.hh"
 #include "gadgets/arith_magnifier.hh"
 #include "gadgets/plru_magnifier.hh"
 #include "gadgets/plru_pattern.hh"
 #include "gadgets/racing.hh"
+#include "util/rng.hh"
 
 namespace hr
 {
@@ -166,13 +171,79 @@ TEST(PlruPattern, FinderRecoversTheW4Pattern)
     EXPECT_TRUE(validatePinPattern(4, *pattern));
 }
 
-TEST(PlruPattern, FinderGeneralizesToOtherAssociativities)
+TEST(PlruPattern, FinderMatchesParentTable)
 {
-    for (int assoc : {8, 16}) {
-        auto pattern = findPinPattern(assoc, 20);
-        ASSERT_TRUE(pattern.has_value()) << "assoc=" << assoc;
-        EXPECT_TRUE(validatePinPattern(assoc, *pattern))
-            << "assoc=" << assoc;
+    // The answers of the earlier map-based search, measured over
+    // assoc {2, 4, 8, 16} x max_len 2..20: each associativity has no
+    // pattern below its shortest period and the same pattern from
+    // there on. Covered here: every point at assoc 2 and 4, and a
+    // spread at 8 and 16, where a search costs ~0.3 s and ~1 s.
+    struct Expected
+    {
+        int assoc;
+        std::vector<int> maxLens;
+        std::size_t period; ///< shortest max_len with a pattern; 0: none
+        std::vector<int> accesses;
+    };
+    std::vector<int> every;
+    for (int len = 2; len <= 20; ++len)
+        every.push_back(len);
+    for (const Expected &e :
+         {Expected{2, every, 0, {}},
+          Expected{4, every, 6, {1, 3, 2, 4, 3, 2}},
+          Expected{8, {7, 8, 16, 20}, 8, {1, 6, 7, 2, 5, 6, 7, 2}},
+          Expected{16, {9, 10, 16}, 10,
+                   {1, 10, 11, 14, 2, 9, 10, 12, 15, 2}}}) {
+        for (int len : e.maxLens) {
+            SCOPED_TRACE("assoc=" + std::to_string(e.assoc) +
+                         " max_len=" + std::to_string(len));
+            const std::optional<PinPattern> pattern =
+                findPinPattern(e.assoc, len);
+            if (e.period == 0 || static_cast<std::size_t>(len) < e.period) {
+                EXPECT_FALSE(pattern.has_value());
+                continue;
+            }
+            ASSERT_TRUE(pattern.has_value());
+            EXPECT_EQ(pattern->leadIn, std::vector<int>{2});
+            EXPECT_EQ(pattern->accesses, e.accesses);
+            EXPECT_EQ(pattern->missesPerPeriod, 2);
+            EXPECT_TRUE(validatePinPattern(e.assoc, *pattern));
+        }
+    }
+}
+
+TEST(PlruPattern, PackedTransitionMatchesSetModel)
+{
+    // The search's packed state must follow PlruSetModel::access on
+    // generated access sequences, from the cold (all-invalid) set on:
+    // the same miss flag, and the same contents and tree bits through
+    // a pack/unpack round trip.
+    EXPECT_EQ(PlruStateCodec(8).words(), 1);
+    EXPECT_EQ(PlruStateCodec(16).words(), 2);
+    Rng rng(0x5eed);
+    for (int assoc : {2, 4, 8, 16}) {
+        const PlruStateCodec codec(assoc);
+        for (int sequence = 0; sequence < 1000; ++sequence) {
+            PlruSetModel model(assoc);
+            std::vector<std::uint64_t> key(
+                static_cast<std::size_t>(codec.words()));
+            codec.pack(model, key.data());
+            const auto length = rng.range(1, 8 * assoc);
+            for (std::int64_t i = 0; i < length; ++i) {
+                const auto line = static_cast<int>(rng.range(0, assoc + 1));
+                SCOPED_TRACE("assoc=" + std::to_string(assoc) +
+                             " sequence=" + std::to_string(sequence) +
+                             " access=" + std::to_string(i));
+                ASSERT_EQ(codec.access(key.data(), line), model.access(line));
+                const PlruSetModel unpacked = codec.unpack(key.data());
+                ASSERT_EQ(unpacked.contents(), model.contents());
+                ASSERT_EQ(unpacked.bits(), model.bits());
+                std::vector<std::uint64_t> repacked(key.size());
+                codec.pack(unpacked, repacked.data());
+                ASSERT_EQ(repacked, key);
+                ASSERT_EQ(codec.wayOf(key.data(), 0), model.wayOf(0));
+            }
+        }
     }
 }
 
