@@ -87,7 +87,7 @@ class FigStaticVsDynamic : public Scenario
                 // dynamic cross-validation here — the channel run
                 // below IS the dynamic half of this figure.
                 cell.report =
-                    analyzeChannel(info.name, kProfile, {}, nullptr);
+                    analyzeChannel(info.name, kProfile, {}, false);
                 try {
                     ScenarioContext::reseedMachine(machine, config,
                                                    ctx.indexSeed(c));

@@ -8,7 +8,6 @@
 #include "exp/parallel.hh"
 #include "gadgets/gadget_registry.hh"
 #include "obs/log.hh"
-#include "sim/profiles.hh"
 #include "util/table.hh"
 
 namespace hr
@@ -83,40 +82,22 @@ resolveTarget(const std::string &name)
 LeakageReport
 runTask(const Task &task, const AnalyzeOptions &options)
 {
-    // Pin the profile before building the validation pool so the pool
-    // machines match the machines the static pass models.
-    std::string profile = options.profile;
     try {
-        if (profile.empty()) {
-            if (task.kind == TargetKind::Gadget)
-                profile = defaultAnalysisProfile(task.name);
-            else if (task.kind == TargetKind::Channel)
-                profile = defaultAnalysisProfile(
-                    ChannelRegistry::instance().resolve(task.name).gadget);
-            else
-                profile = "default";
-        }
-
-        std::unique_ptr<MachinePool> pool;
-        if (options.validate)
-            pool = std::make_unique<MachinePool>(
-                machineConfigForProfile(profile));
-
         switch (task.kind) {
           case TargetKind::Gadget:
-            return analyzeGadget(task.name, profile, options.params,
-                                 pool.get());
+            return analyzeGadget(task.name, options.profile, options.params,
+                                 options.validate);
           case TargetKind::Channel:
-            return analyzeChannel(task.name, profile, options.params,
-                                  pool.get());
+            return analyzeChannel(task.name, options.profile,
+                                  options.params, options.validate);
           case TargetKind::Program:
             return analyzeProgramTarget(*findProgramTarget(task.name),
-                                        profile, pool.get());
+                                        options.profile, options.validate);
         }
     } catch (const std::exception &e) {
         LeakageReport report;
         report.target = task.name;
-        report.profile = profile;
+        report.profile = options.profile;
         report.status = std::string("error: ") + e.what();
         return report;
     }

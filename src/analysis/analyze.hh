@@ -7,8 +7,8 @@
  *
  * Determinism contract: the report list depends only on the target
  * set and profile, never on --jobs. Each target is analyzed on
- * machines of its own (fresh Machine instances and a per-target
- * MachinePool), so workers share no mutable state, and results land
+ * machines of its own (a MachinePool per profile it tries), so
+ * workers share no mutable state, and results land
  * in per-index slots joined in registry order.
  */
 
@@ -31,7 +31,7 @@ struct AnalyzeOptions
     /** Gadget/channel/program names; resolved with suggestions. */
     std::vector<std::string> targets;
     bool all = false;       ///< every gadget + channel + demo program
-    std::string profile;    ///< empty = per-gadget default profile
+    std::string profile;    ///< empty = first profile a target builds on
     int jobs = 1;
     bool validate = true;   ///< cross-validate on pooled machines
     bool capacity = false;  ///< QIF capacity bounds instead of classes

@@ -22,18 +22,13 @@ analyzeGadgetCapacity(const std::string &name, const std::string &profile,
     const GadgetInfo &info = GadgetRegistry::instance().resolve(name);
     report.target = info.name;
     report.gadget = info.name;
-    report.profile =
-        profile.empty() ? defaultAnalysisProfile(info.name) : profile;
-    const MachineConfig config =
-        machineConfigForProfile(report.profile);
     try {
-        MachinePool machines(config);
-        GadgetRecording recording = recordGadgetFootprints(
-            info.name, params, machines.lease(), config);
-        if (recording.status != "ok") {
-            report.status = recording.status;
+        GadgetRecording recording =
+            recordGadgetFootprints(info.name, profile, params);
+        report.profile = recording.profile;
+        report.status = recording.status;
+        if (recording.status != "ok")
             return report;
-        }
         report.opaque = recording.opaque;
         for (const SecretValuation &valuation :
              SecretDomain::twoPolarity().valuations)
@@ -41,7 +36,8 @@ analyzeGadgetCapacity(const std::string &name, const std::string &profile,
         std::vector<CacheFootprint> footprints;
         footprints.push_back(std::move(recording.footprint[0]));
         footprints.push_back(std::move(recording.footprint[1]));
-        report.bound = boundCapacity(footprints, config);
+        report.bound = boundCapacity(
+            footprints, machineConfigForProfile(report.profile));
         report.detail = info.kind;
     } catch (const std::exception &e) {
         report.status = std::string("error: ") + e.what();

@@ -50,8 +50,9 @@ struct CapacityReport
 
 /**
  * Bound a registered gadget's per-trial capacity over the {fast,
- * slow} polarity domain on @p profile (empty = the gadget's default
- * analysis profile). @p params forward to GadgetRegistry::make.
+ * slow} polarity domain on @p profile (empty: the first profile it
+ * builds on with @p params, resolved by recordGadgetFootprints with
+ * one build per candidate). @p params forward to GadgetRegistry::make.
  */
 CapacityReport analyzeGadgetCapacity(const std::string &name,
                                      const std::string &profile,
@@ -79,8 +80,8 @@ CapacityReport analyzeProgramCapacity(const ProgramTarget &target,
 std::string formatBound(const CapacityReport &report);
 
 /**
- * Memoized formatted capacity bound for a registered gadget under its
- * default analysis profile. Used by the `hr_bench gadgets`/`channels`
+ * Memoized formatted capacity bound for a registered gadget on the
+ * first profile it builds on. Used by the `hr_bench gadgets`/`channels`
  * listings to stamp every registry entry ("n/a" on analysis error).
  */
 std::string capacityBoundFor(const std::string &gadget);

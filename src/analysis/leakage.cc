@@ -72,36 +72,55 @@ foldTrialTrace(const TrialTrace &trace, const MachineConfig &config)
 }
 
 GadgetRecording
-recordGadgetFootprints(const std::string &gadget, const ParamSet &params,
-                       const MachinePool::Lease &lease,
-                       const MachineConfig &config)
+recordGadgetFootprints(const std::string &gadget, const std::string &profile,
+                       const ParamSet &params)
 {
+    static const std::vector<std::string> kCandidates = {
+        "default", "plru", "smt2", "smt2_plru"};
+    const std::vector<std::string> candidates =
+        profile.empty() ? kCandidates : std::vector<std::string>{profile};
     GadgetRecording recording;
-    Machine &machine = lease.machine();
-    std::unique_ptr<TimingSource> source =
-        GadgetRegistry::instance().make(gadget, machine, params);
-    if (!source) {
-        recording.status = "incompatible";
-        return recording;
-    }
     try {
-        source->calibrate();
-        source->sample(false);
-        source->sample(true);
-    } catch (const std::exception &) {
-        recording.status = "calib_fail";
-        return recording;
+        for (const std::string &candidate : candidates) {
+            recording.profile = candidate;
+            recording.lease.reset();
+            recording.pool = std::make_unique<MachinePool>(
+                machineConfigForProfile(candidate));
+            recording.lease.emplace(recording.pool->lease());
+            recording.source = GadgetRegistry::instance().make(
+                gadget, recording.lease->machine(), params);
+            if (recording.source)
+                break;
+        }
+        if (!recording.source) {
+            recording.status = "incompatible";
+            return recording;
+        }
+        const MachinePool::Lease &lease = *recording.lease;
+        Machine &machine = lease.machine();
+        TimingSource &source = *recording.source;
+        try {
+            source.calibrate();
+            source.sample(false);
+            source.sample(true);
+        } catch (const std::exception &) {
+            recording.status = "calib_fail";
+            return recording;
+        }
+        const MachineConfig config =
+            machineConfigForProfile(recording.profile);
+        for (int polarity = 0; polarity < 2; ++polarity) {
+            lease.restore();
+            TrialTrace trace;
+            machine.beginRecord(trace);
+            source.sample(polarity == 1);
+            machine.endRecord();
+            recording.opaque |= trace.opaque;
+            recording.footprint[polarity] = foldTrialTrace(trace, config);
+        }
+    } catch (const std::exception &e) {
+        recording.status = std::string("error: ") + e.what();
     }
-    for (int polarity = 0; polarity < 2; ++polarity) {
-        lease.restore();
-        TrialTrace trace;
-        machine.beginRecord(trace);
-        source->sample(polarity == 1);
-        machine.endRecord();
-        recording.opaque |= trace.opaque;
-        recording.footprint[polarity] = foldTrialTrace(trace, config);
-    }
-    recording.source = std::move(source);
     return recording;
 }
 
@@ -196,32 +215,15 @@ finishReport(LeakageReport &report, const MachineConfig &config)
 
 } // namespace
 
-std::string
-defaultAnalysisProfile(const std::string &gadget)
-{
-    static const char *kCandidates[] = {"default", "plru", "smt2",
-                                        "smt2_plru"};
-    for (const char *profile : kCandidates) {
-        Machine machine(machineConfigForProfile(profile));
-        if (GadgetRegistry::instance().make(gadget, machine))
-            return profile;
-    }
-    return "smt2_plru";
-}
-
 LeakageReport
 analyzeGadget(const std::string &name, const std::string &profile,
-              const ParamSet &params, MachinePool *pool)
+              const ParamSet &params, bool validate)
 {
     LeakageReport report;
     report.kind = "gadget";
     const GadgetInfo &info = GadgetRegistry::instance().resolve(name);
     report.target = info.name;
     report.gadget = info.name;
-    report.profile =
-        profile.empty() ? defaultAnalysisProfile(info.name) : profile;
-    const MachineConfig config =
-        machineConfigForProfile(report.profile);
 
     // Record and validate on ONE leased machine: the source is bound
     // to it and folds one-time calibration work into its first
@@ -229,42 +231,28 @@ analyzeGadget(const std::string &name, const std::string &profile,
     // per polarity) and restoring the lease's base state before each
     // recorded or validated sample is what makes those samples the
     // source's steady-state behaviour — the behaviour channels run.
-    std::unique_ptr<MachinePool> own_pool;
-    MachinePool *machines = pool;
-    if (machines == nullptr) {
-        own_pool = std::make_unique<MachinePool>(config);
-        machines = own_pool.get();
-    }
-    const MachinePool::Lease lease = machines->lease();
-
-    std::unique_ptr<TimingSource> source;
-    try {
-        GadgetRecording recording =
-            recordGadgetFootprints(info.name, params, lease, config);
-        if (recording.status != "ok") {
-            report.status = recording.status;
-            return report;
-        }
-        report.opaque = recording.opaque;
-        report.footprint[0] = std::move(recording.footprint[0]);
-        report.footprint[1] = std::move(recording.footprint[1]);
-        source = std::move(recording.source);
-    } catch (const std::exception &e) {
-        report.status = std::string("error: ") + e.what();
+    GadgetRecording recording =
+        recordGadgetFootprints(info.name, profile, params);
+    report.profile = recording.profile;
+    report.status = recording.status;
+    if (recording.status != "ok")
         return report;
-    }
-    finishReport(report, config);
+    report.opaque = recording.opaque;
+    report.footprint[0] = std::move(recording.footprint[0]);
+    report.footprint[1] = std::move(recording.footprint[1]);
+    const MachinePool::Lease &lease = *recording.lease;
+    Machine &machine = lease.machine();
+    finishReport(report, machineConfigForProfile(report.profile));
     report.detail = info.kind;
 
-    if (pool != nullptr) {
+    if (validate) {
         ValidationResult &v = report.validation;
         v.ran = true;
         try {
-            Machine &machine = lease.machine();
             for (int polarity = 0; polarity < 2; ++polarity) {
                 lease.restore();
                 const Cycle start = machine.now();
-                source->sample(polarity == 1);
+                recording.source->sample(polarity == 1);
                 machine.settle();
                 const Observed obs = observe(machine);
                 v.observedAccesses[polarity] = obs.accesses;
@@ -285,7 +273,7 @@ analyzeGadget(const std::string &name, const std::string &profile,
 
 LeakageReport
 analyzeChannel(const std::string &name, const std::string &profile,
-               const ParamSet &params, MachinePool *pool)
+               const ParamSet &params, bool validate)
 {
     const ChannelInfo &info = ChannelRegistry::instance().resolve(name);
     // Analyze the gadget exactly as this channel configures it: the
@@ -294,7 +282,7 @@ analyzeChannel(const std::string &name, const std::string &profile,
     const ChannelConfig config =
         ChannelRegistry::instance().makeConfig(info.name, params);
     LeakageReport report =
-        analyzeGadget(config.gadget, profile, config.gadgetParams, pool);
+        analyzeGadget(config.gadget, profile, config.gadgetParams, validate);
     report.kind = "channel";
     report.target = info.name;
     report.detail = info.modulation + " over " + info.gadget;
@@ -303,7 +291,7 @@ analyzeChannel(const std::string &name, const std::string &profile,
 
 LeakageReport
 analyzeProgramTarget(const ProgramTarget &target,
-                     const std::string &profile, MachinePool *pool)
+                     const std::string &profile, bool validate)
 {
     LeakageReport report;
     report.kind = "program";
@@ -350,7 +338,8 @@ analyzeProgramTarget(const ProgramTarget &target,
         report.detail = target.description;
     }
 
-    if (pool != nullptr) {
+    if (validate) {
+        MachinePool pool(config);
         ValidationResult &v = report.validation;
         v.ran = true;
         // Equal-count leaks (same number of touches to different
@@ -363,7 +352,7 @@ analyzeProgramTarget(const ProgramTarget &target,
             report.footprint[1].fillsExact;
         try {
             for (int polarity = 0; polarity < 2; ++polarity) {
-                MachinePool::Lease lease = pool->lease();
+                MachinePool::Lease lease = pool.lease();
                 Machine &machine = lease.machine();
                 for (const auto &[addr, value] : polarityMemory(polarity))
                     machine.poke(addr, value);
@@ -578,7 +567,7 @@ leakageClassFor(const std::string &gadget)
     std::string verdict;
     try {
         const LeakageReport report =
-            analyzeGadget(gadget, "", {}, nullptr);
+            analyzeGadget(gadget, "", {}, /*validate=*/false);
         verdict = report.status == "ok" ? report.leakClass
                                         : report.status;
     } catch (const std::exception &) {

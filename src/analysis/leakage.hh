@@ -36,6 +36,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -66,26 +67,39 @@ CacheFootprint foldTrialTrace(const TrialTrace &trace,
 /** The two polarity footprints recorded from a live gadget. */
 struct GadgetRecording
 {
-    std::string status = "ok"; ///< ok | incompatible | calib_fail
+    std::string profile; ///< the profile it was built (or last tried) on
+    std::string status = "ok"; ///< ok | incompatible | calib_fail | error:
     bool opaque = false; ///< a recording went opaque (approximate)
     CacheFootprint footprint[2]; ///< [0] = fast, [1] = slow polarity
-    /** The primed source, bound to the lease's machine (null unless ok). */
+    /** A pool of the profile's machines and the lease the source is
+     * bound to; declared before the source, which goes first. */
+    std::unique_ptr<MachinePool> pool;
+    std::optional<MachinePool::Lease> lease;
+    /** The primed source, bound to the lease's machine (valid when ok). */
     std::unique_ptr<TimingSource> source;
 };
 
 /**
- * Build @p gadget with @p params on the leased machine, prime it
- * (calibrate + one throwaway sample per polarity, so one-time
- * calibration work is absorbed before recording), then record one
- * steady-state sample() per polarity — each from the pool's base
- * state (Lease::restore) — folding each trace through foldTrialTrace.
- * Gadget errors beyond incompatibility/calibration propagate as
- * exceptions.
+ * Build @p gadget with @p params on a machine leased from a pool of
+ * @p profile, prime it (calibrate + one throwaway sample per polarity,
+ * so one-time calibration work is absorbed before recording), then
+ * record one steady-state sample() per polarity — each from the pool's
+ * base state (Lease::restore) — folding each trace through
+ * foldTrialTrace.
+ *
+ * An empty @p profile resolves the profile with the build itself: each
+ * of {default, plru, smt2, smt2_plru} in turn gets a pool and a lease,
+ * and the first one the gadget builds on with these params is the one
+ * recorded (smt2_plru, status incompatible, when none fits). So the
+ * gadget is built once per candidate profile, and a param that changes
+ * compatibility changes the profile: plru_pin_magnifier with
+ * max_len=7 finds no 8-way pattern on default and resolves to plru.
+ * A gadget error stops the resolution with status "error: ..." on the
+ * profile it happened on.
  */
 GadgetRecording recordGadgetFootprints(const std::string &gadget,
-                                       const ParamSet &params,
-                                       const MachinePool::Lease &lease,
-                                       const MachineConfig &config);
+                                       const std::string &profile,
+                                       const ParamSet &params);
 
 /** Outcome of the dynamic cross-validation of one static report. */
 struct ValidationResult
@@ -120,21 +134,26 @@ struct LeakageReport
 };
 
 /**
- * Statically analyze a registered gadget on @p profile, optionally
- * cross-validating against real execution on @p pool (pass nullptr to
- * skip validation). @p params are forwarded to GadgetRegistry::make.
+ * Statically analyze a registered gadget on @p profile (empty: the
+ * first profile it builds on with @p params; see
+ * recordGadgetFootprints), recording it and, when @p validate is set,
+ * cross-validating it against real execution on the same leased
+ * machine. @p params are forwarded to GadgetRegistry::make.
  */
 LeakageReport analyzeGadget(const std::string &name,
                             const std::string &profile,
-                            const ParamSet &params, MachinePool *pool);
+                            const ParamSet &params, bool validate);
 
 /**
  * Analyze a registered channel: the verdict of its underlying gadget,
- * stamped with the channel's name and modulation detail.
+ * configured as the channel configures it (so the profile an empty
+ * @p profile resolves to is the one that gadget builds on with the
+ * channel's gadget params), stamped with the channel's name and
+ * modulation detail.
  */
 LeakageReport analyzeChannel(const std::string &name,
                              const std::string &profile,
-                             const ParamSet &params, MachinePool *pool);
+                             const ParamSet &params, bool validate);
 
 /** A secret-annotated guest program for `analyze --program`. */
 struct ProgramTarget
@@ -158,10 +177,14 @@ struct ProgramTarget
     std::vector<std::int64_t> secretValues;
 };
 
-/** Taint + differential + validation for one annotated program. */
+/**
+ * Taint + differential analysis of one annotated program on
+ * @p profile (empty: default), validated on pooled machines when
+ * @p validate is set.
+ */
 LeakageReport analyzeProgramTarget(const ProgramTarget &target,
                                    const std::string &profile,
-                                   MachinePool *pool);
+                                   bool validate);
 
 /** The built-in demo program targets (taint round-trip corpus). */
 const std::vector<ProgramTarget> &programTargets();
@@ -170,15 +193,8 @@ const std::vector<ProgramTarget> &programTargets();
 const ProgramTarget *findProgramTarget(const std::string &name);
 
 /**
- * Default profile a target is analyzed under when the caller does not
- * pick one: the first profile in {default, plru, smt2, smt2_plru} the
- * gadget is compatible with.
- */
-std::string defaultAnalysisProfile(const std::string &gadget);
-
-/**
- * Memoized leakage class for a registered gadget under its default
- * analysis profile (no validation run). Used by the `hr_bench
+ * Memoized leakage class for a registered gadget on the first profile
+ * it builds on (no validation run). Used by the `hr_bench
  * gadgets`/`channels` listings to stamp every registry entry.
  */
 std::string leakageClassFor(const std::string &gadget);

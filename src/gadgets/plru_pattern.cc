@@ -232,6 +232,15 @@ class StateTable
         return {slot, true};
     }
 
+    /** Free the table and hand over the keys of the first @p nodes. */
+    std::vector<std::uint64_t> release(std::size_t nodes)
+    {
+        slots_ = {};
+        keys_.resize(nodes * words_);
+        keys_.shrink_to_fit();
+        return std::move(keys_);
+    }
+
   private:
     /** The slot holding @p key's node, or the empty one ending its probe. */
     int &slotOf(const std::uint64_t *key)
@@ -257,121 +266,229 @@ class StateTable
 
 } // namespace
 
-std::optional<PinPattern>
-findPinPattern(int assoc, int max_len)
+PlruPinGraph::PlruPinGraph(int assoc)
+    : codec_(assoc), lines_(static_cast<std::size_t>(assoc) + 1),
+      words_(static_cast<std::size_t>(codec_.words()))
 {
     fatalIf(assoc < 2 || (assoc & (assoc - 1)) != 0,
-            "findPinPattern: associativity must be a power of two");
-    HR_TRACE_SCOPE("gadgets", "gadgets.pin_search");
-
+            "PlruPinGraph: associativity must be a power of two");
     // Post-race state: pinned line 0 inserted over the candidate.
     PlruSetModel start = canonicalBaseState(assoc);
     start.access(0);
-    const PlruStateCodec codec(assoc);
-    const std::size_t words = static_cast<std::size_t>(codec.words());
-    std::vector<std::uint64_t> next(words);
-    codec.pack(start, next.data());
-    StateTable states(words);
+    std::vector<std::uint64_t> next(words_);
+    codec_.pack(start, next.data());
+    StateTable states(words_);
     states.insert(next.data());
 
-    // Build the reachable state graph over accesses that never evict
-    // the pinned line. Fig. 3's own cycle returns to a way-permuted
-    // equivalent of its start, so we search for *any* cycle containing
-    // a miss edge, plus a lead-in path from the start state. Node at's
-    // edges are succ[at * lines + line - 1] for lines 1..W+1, -1 where
-    // the access evicts the pinned line.
-    const auto lines = static_cast<std::size_t>(assoc) + 1;
-    auto access = [&](std::size_t at, int line) {
-        std::copy_n(states.key(at), words, next.begin());
-        return codec.access(next.data(), line);
-    };
-    std::vector<int> succ, parent{-1}; // parent: BFS tree for lead-ins
-    constexpr std::size_t kMaxNodes = 200'000;
-    for (std::size_t at = 0; at < states.size() && at < kMaxNodes; ++at) {
+    // Fig. 3's own cycle returns to a way-permuted equivalent of its
+    // start, so the search looks for *any* cycle containing a miss
+    // edge, plus a lead-in path from the start state.
+    constexpr std::size_t kMaxExpanded = 200'000;
+    succ_.reserve(kMaxExpanded * lines_);
+    parent_.push_back(-1);
+    for (std::size_t at = 0; at < states.size() && at < kMaxExpanded;
+         ++at) {
         for (int line = 1; line <= assoc + 1; ++line) {
-            if (access(at, line) && codec.wayOf(next.data(), 0) < 0) {
-                succ.push_back(-1); // pinned line evicted: dead edge
+            std::copy_n(states.key(at), words_, next.begin());
+            if (codec_.access(next.data(), line) &&
+                codec_.wayOf(next.data(), 0) < 0) {
+                succ_.push_back(-1); // pinned line evicted: dead edge
                 continue;
             }
             const auto [to, inserted] = states.insert(next.data());
             if (inserted)
-                parent.push_back(static_cast<int>(at));
-            succ.push_back(to);
+                parent_.push_back(static_cast<int>(at));
+            succ_.push_back(to);
         }
     }
-    const std::size_t expanded = succ.size() / lines;
+    expanded_ = succ_.size() / lines_;
+    nodes_ = states.size();
+    // Only expanded nodes are ever simulated from or walked back
+    // through: drop the table and the leaves' keys and parents before
+    // the reverse edges are built.
+    keys_ = states.release(expanded_);
+    parent_.resize(expanded_);
+    parent_.shrink_to_fit();
 
-    // The access lines of the tree path root -> node, where up[] gives
-    // each node's tree parent. A BFS discovers a node through the first
-    // line of its parent's row that leads to it.
-    auto path = [&](const std::vector<int> &up, int root, int node) {
-        std::vector<int> out;
-        for (; node != root; node = up[static_cast<std::size_t>(node)]) {
-            const int from = up[static_cast<std::size_t>(node)];
-            const int *row = &succ[static_cast<std::size_t>(from) * lines];
-            const auto line = std::find(row, row + lines, node) - row + 1;
-            out.push_back(static_cast<int>(line));
-        }
-        std::reverse(out.begin(), out.end());
-        return out;
+    // Reverse edges into expanded nodes, in CSR form: the predecessors
+    // of node t are revFrom_[revStart_[t] .. revStart_[t + 1]). Each
+    // count is summed to its range's end, then filled downwards.
+    revStart_.assign(expanded_ + 1, 0);
+    auto into_expanded = [&](int to) {
+        return to >= 0 && static_cast<std::size_t>(to) < expanded_;
     };
+    for (const int to : succ_)
+        if (into_expanded(to))
+            ++revStart_[static_cast<std::size_t>(to)];
+    for (std::size_t node = 1; node <= expanded_; ++node)
+        revStart_[node] += revStart_[node - 1];
+    revFrom_.resize(static_cast<std::size_t>(revStart_[expanded_]));
+    for (std::size_t e = 0; e < succ_.size(); ++e)
+        if (into_expanded(succ_[e]))
+            revFrom_[static_cast<std::size_t>(
+                --revStart_[static_cast<std::size_t>(succ_[e])])] =
+                static_cast<int>(e / lines_);
+    stamp_.assign(expanded_, 0);
+    prev_.resize(expanded_);
+}
 
-    // BFS from `from` until `to` is discovered, at most `bound` edges
-    // deep; prev then holds the path. Epoch stamps mark the nodes this
-    // BFS discovered.
-    std::vector<unsigned> seen(states.size(), 0);
-    std::vector<int> prev(states.size()), frontier;
-    unsigned epoch = 0;
-    auto back_path = [&](int from, int to, int bound) {
-        seen[static_cast<std::size_t>(from)] = ++epoch;
-        frontier.assign(1, from);
-        std::size_t head = 0;
-        for (int depth = 0; depth < bound && head < frontier.size(); ++depth) {
-            for (const std::size_t end = frontier.size(); head < end; ++head) {
-                const auto at = static_cast<std::size_t>(frontier[head]);
-                if (at >= expanded)
-                    continue; // past the expansion cap: no out-edges
-                for (std::size_t e = at * lines; e < (at + 1) * lines; ++e) {
-                    const int t = succ[e];
-                    if (t < 0 || seen[static_cast<std::size_t>(t)] == epoch)
-                        continue;
-                    seen[static_cast<std::size_t>(t)] = epoch;
-                    prev[static_cast<std::size_t>(t)] = static_cast<int>(at);
-                    if (t == to)
-                        return true;
-                    frontier.push_back(t);
-                }
+int
+PlruPinGraph::next(std::size_t at, int line) const
+{
+    return succ_[at * lines_ + static_cast<std::size_t>(line) - 1];
+}
+
+bool
+PlruPinGraph::reaches(int from, int to, int bound)
+{
+    fatalIf(to < 0 || static_cast<std::size_t>(to) >= expanded_,
+            "PlruPinGraph: a path query must end at an expanded node");
+    if (from == to || bound < 1 ||
+        static_cast<std::size_t>(from) >= expanded_)
+        return false; // a leaf has no out-edges
+    // Forward from `from` to depth ceil(bound / 2), then back from `to`
+    // to depth floor(bound / 2): the two balls meet iff some path is at
+    // most `bound` long. Leaves are skipped: they have no out-edges and
+    // are never backward nodes, so they can neither lead on nor meet.
+    const unsigned forward = ++epoch_;
+    stamp_[static_cast<std::size_t>(from)] = forward;
+    frontier_.assign(1, from);
+    std::size_t head = 0;
+    for (int depth = 0; depth < (bound + 1) / 2 && head < frontier_.size();
+         ++depth) {
+        for (const std::size_t end = frontier_.size(); head < end; ++head) {
+            const auto at = static_cast<std::size_t>(frontier_[head]);
+            for (std::size_t e = at * lines_; e < (at + 1) * lines_; ++e) {
+                const int t = succ_[e];
+                if (t < 0 || static_cast<std::size_t>(t) >= expanded_ ||
+                    stamp_[static_cast<std::size_t>(t)] == forward)
+                    continue;
+                if (t == to)
+                    return true;
+                stamp_[static_cast<std::size_t>(t)] = forward;
+                frontier_.push_back(t);
             }
         }
-        return false;
+    }
+    const unsigned backward = ++epoch_;
+    stamp_[static_cast<std::size_t>(to)] = backward;
+    frontier_.assign(1, to);
+    head = 0;
+    for (int depth = 0; depth < bound / 2 && head < frontier_.size();
+         ++depth) {
+        for (const std::size_t end = frontier_.size(); head < end; ++head) {
+            const auto at = static_cast<std::size_t>(frontier_[head]);
+            for (int r = revStart_[at]; r < revStart_[at + 1]; ++r) {
+                const int p = revFrom_[static_cast<std::size_t>(r)];
+                if (stamp_[static_cast<std::size_t>(p)] == forward)
+                    return true;
+                if (stamp_[static_cast<std::size_t>(p)] == backward)
+                    continue;
+                stamp_[static_cast<std::size_t>(p)] = backward;
+                frontier_.push_back(p);
+            }
+        }
+    }
+    return false;
+}
+
+std::vector<int>
+PlruPinGraph::shortestPath(int from, int to, int bound)
+{
+    fatalIf(to < 0 || static_cast<std::size_t>(to) >= expanded_,
+            "PlruPinGraph: a path query must end at an expanded node");
+    if (from == to || static_cast<std::size_t>(from) >= expanded_)
+        return {};
+    // BFS from `from` until `to` is discovered, at most `bound` edges
+    // deep. Skipping leaves at discovery changes no other node's
+    // discovery order or parent.
+    const unsigned epoch = ++epoch_;
+    stamp_[static_cast<std::size_t>(from)] = epoch;
+    frontier_.assign(1, from);
+    std::size_t head = 0;
+    for (int depth = 0; depth < bound && head < frontier_.size(); ++depth) {
+        for (const std::size_t end = frontier_.size(); head < end; ++head) {
+            const auto at = static_cast<std::size_t>(frontier_[head]);
+            for (std::size_t e = at * lines_; e < (at + 1) * lines_; ++e) {
+                const int t = succ_[e];
+                if (t < 0 || static_cast<std::size_t>(t) >= expanded_ ||
+                    stamp_[static_cast<std::size_t>(t)] == epoch)
+                    continue;
+                stamp_[static_cast<std::size_t>(t)] = epoch;
+                prev_[static_cast<std::size_t>(t)] = static_cast<int>(at);
+                if (t == to)
+                    return linesAlong(prev_, from, to);
+                frontier_.push_back(t);
+            }
+        }
+    }
+    return {};
+}
+
+std::vector<int>
+PlruPinGraph::leadIn(int node) const
+{
+    return linesAlong(parent_, 0, node);
+}
+
+std::vector<int>
+PlruPinGraph::linesAlong(const std::vector<int> &up, int root,
+                         int node) const
+{
+    // A BFS discovers a node through the first line of its parent's
+    // row that leads to it.
+    std::vector<int> out;
+    for (; node != root; node = up[static_cast<std::size_t>(node)]) {
+        const int from = up[static_cast<std::size_t>(node)];
+        const int *row = &succ_[static_cast<std::size_t>(from) * lines_];
+        const auto line = std::find(row, row + lines_, node) - row + 1;
+        out.push_back(static_cast<int>(line));
+    }
+    std::reverse(out.begin(), out.end());
+    return out;
+}
+
+std::optional<PinPattern>
+findPinPattern(int assoc, int max_len)
+{
+    HR_TRACE_SCOPE("gadgets", "gadgets.pin_search");
+    PlruPinGraph graph(assoc);
+    const PlruStateCodec &codec = graph.codec();
+    std::vector<std::uint64_t> state(static_cast<std::size_t>(codec.words()));
+    auto load = [&](std::size_t node) {
+        std::copy(graph.key(node), graph.key(node) + state.size(),
+                  state.begin());
     };
 
     // The shortest cycle through some miss edge u -> v (v != u: a miss
     // changes the contents): the edge, then the BFS path from v back to
     // u. Only a cycle shorter than the best so far and no longer than
-    // max_len is kept, which bounds the BFS depth.
+    // max_len is kept, which bounds the BFS depth; the meet-in-the-
+    // middle check rules most edges out before any exact BFS runs.
     std::optional<PinPattern> best;
     int attempts = 0;
-    for (std::size_t u = 0; u < expanded && attempts < 400; ++u) {
+    for (std::size_t u = 0; u < graph.expanded() && attempts < 400; ++u) {
         for (int line = 1; line <= assoc + 1; ++line) {
-            const int v = succ[u * lines + static_cast<std::size_t>(line) - 1];
-            if (v < 0 || !access(u, line))
+            const int v = graph.next(u, line);
+            load(u);
+            if (v < 0 || !codec.access(state.data(), line))
                 continue;
             ++attempts;
             const int longest =
                 best ? std::min(max_len, static_cast<int>(
                                              best->accesses.size()) - 1)
                      : max_len;
-            if (!back_path(v, static_cast<int>(u), longest - 1))
+            if (!graph.reaches(v, static_cast<int>(u), longest - 1))
                 continue;
             PinPattern pattern;
-            pattern.accesses = path(prev, v, static_cast<int>(u));
+            pattern.accesses =
+                graph.shortestPath(v, static_cast<int>(u), longest - 1);
             pattern.accesses.insert(pattern.accesses.begin(), line);
-            pattern.leadIn = path(parent, 0, static_cast<int>(u));
+            pattern.leadIn = graph.leadIn(static_cast<int>(u));
             // Count misses per period by simulation from u.
-            std::copy_n(states.key(u), words, next.begin());
+            load(u);
             for (int step : pattern.accesses)
-                pattern.missesPerPeriod += codec.access(next.data(), step);
+                pattern.missesPerPeriod += codec.access(state.data(), step);
             best = std::move(pattern);
         }
         if (best && best->accesses.size() <= 2)

@@ -11,23 +11,38 @@
  * caches "will only cause the attacker to change strategy".
  *
  * The search runs over packed (contents, tree-bits) states
- * (PlruStateCodec: one 64-bit word up to W = 8, two up to W = 16) held
- * in one flat array in discovery order and found through an
- * open-addressing table of node indices. A breadth-first expansion
- * from the post-insertion state, over accesses to lines 1..W+1, fills
- * a successor table of W + 1 node indices per expanded state, -1 where
- * the access would evict the pinned line (at most 200,000 expanded
- * states; later ones have no out-edges). Then, for each miss edge
- * u -> v in node order (at most 400), a BFS from v back to u closes a
- * cycle; the shortest cycle wins, ties going to the earliest edge, and
- * the lead-in is the BFS-tree path to u.
+ * (PlruStateCodec: one 64-bit word up to W = 8, two up to W = 16) in
+ * PlruPinGraph: a breadth-first expansion from the post-insertion
+ * state, over accesses to lines 1..W+1, numbers the states in
+ * discovery order and fills a successor table of W + 1 node indices
+ * per expanded state, -1 where the access would evict the pinned line
+ * (at most 200,000 expanded states; later ones are leaves without
+ * out-edges). Then, for each miss edge u -> v in node order (at most
+ * 400), a BFS from v back to u closes a cycle; the shortest cycle wins,
+ * ties going to the earliest edge, and the lead-in is the BFS-tree path
+ * to u.
  *
- * The back BFS stops at depth min(max_len - 1, best - 2), where best is
- * the length of the best cycle so far. That bound is exact: a longer
- * back path closes a cycle longer than max_len or no shorter than the
- * best, which would be rejected anyway, and BFS discovers every node
- * within the bound in the same order, through the same parent, as an
- * unbounded BFS does.
+ * The back BFS stops at depth b = min(max_len - 1, best - 2), where
+ * best is the length of the best cycle so far. That bound is exact: a
+ * longer back path closes a cycle longer than max_len or no shorter
+ * than the best, which would be rejected anyway, and BFS discovers
+ * every node within the bound in the same order, through the same
+ * parent, as an unbounded BFS does.
+ *
+ * Most back BFSs find nothing; a meet-in-the-middle check runs first
+ * and the exact BFS only where it says a path exists. The check runs a
+ * forward BFS from v to depth ceil(b/2), then a BFS from u over
+ * reverse edges to depth floor(b/2), and reports whether the two meet.
+ * That is exact: a path of length d <= b from v to u has a node at
+ * forward depth min(d, ceil(b/2)) whose distance to u is at most
+ * floor(b/2), and any meeting node joins a forward and a backward path
+ * of total length <= b. Only the nodes below the expansion cap have
+ * out-edges, so every node on such a path except v is one of them, and
+ * v is one too unless it is a leaf (then no path leaves it): the
+ * reverse edges need only cover edges into expanded nodes, and leaves
+ * the forward BFS reaches can neither lead on nor meet. Both BFSs skip
+ * leaves at discovery, which changes no other node's discovery order
+ * or parent, so the exact BFS still builds the same path.
  */
 
 #ifndef HR_GADGETS_PLRU_PATTERN_HH
@@ -124,6 +139,75 @@ class PlruStateCodec
     int assoc_;
     int words_ = 0;
     std::vector<Field> fields_; ///< W ways, then W - 1 tree nodes
+};
+
+/**
+ * The state graph findPinPattern searches: the states reachable from
+ * the post-insertion state over accesses to lines 1..W+1 that keep the
+ * pinned line resident, numbered in discovery order (node 0 is the
+ * start). Nodes below expanded() have out-edges; the rest are leaves.
+ * The path queries share scratch arrays, so one graph serves one
+ * thread.
+ */
+class PlruPinGraph
+{
+  public:
+    explicit PlruPinGraph(int assoc);
+
+    const PlruStateCodec &codec() const { return codec_; }
+
+    /** Every discovered state, leaves included. */
+    std::size_t nodes() const { return nodes_; }
+
+    /** The states with out-edges: nodes 0 .. expanded() - 1. */
+    std::size_t expanded() const { return expanded_; }
+
+    /** The successor of node @p at < expanded() on @p line (1..W+1),
+     * -1 where the access evicts the pinned line. */
+    int next(std::size_t at, int line) const;
+
+    /** The packed state of node @p at < expanded(). */
+    const std::uint64_t *key(std::size_t at) const
+    {
+        return &keys_[at * words_];
+    }
+
+    /**
+     * Whether a path of 1..@p bound edges leads from node @p from to
+     * node @p to: the meet-in-the-middle check. False when @p from is
+     * @p to; fatal unless @p to < expanded().
+     */
+    bool reaches(int from, int to, int bound);
+
+    /**
+     * The lines along the BFS path from @p from to @p to of at most
+     * @p bound edges (same arguments as reaches()); empty if none.
+     */
+    std::vector<int> shortestPath(int from, int to, int bound);
+
+    /** The lines along the BFS-tree path from node 0 to node
+     * @p node < expanded(). */
+    std::vector<int> leadIn(int node) const;
+
+  private:
+    /** Lines along the tree path root -> node; up[] is the tree. */
+    std::vector<int> linesAlong(const std::vector<int> &up, int root,
+                                int node) const;
+
+    PlruStateCodec codec_;
+    std::size_t lines_; ///< W + 1 accessed lines: a succ_ row's width
+    std::size_t words_;
+    std::size_t nodes_ = 0;
+    std::size_t expanded_ = 0;
+    std::vector<std::uint64_t> keys_; ///< expanded states, words_ each
+    std::vector<int> succ_;   ///< expanded_ rows of lines_ successors
+    std::vector<int> parent_; ///< BFS tree of the expansion (lead-ins)
+    std::vector<int> revStart_, revFrom_; ///< reverse edges, CSR
+    // Scratch for the path queries. Epoch stamps mark the nodes one
+    // BFS discovered; prev_ is the exact BFS's tree.
+    std::vector<unsigned> stamp_;
+    std::vector<int> prev_, frontier_;
+    unsigned epoch_ = 0;
 };
 
 /** A discovered pin pattern. */

@@ -173,10 +173,9 @@ TEST(Taint, OrderingOnlyDependenceDoesNotTaint)
 
 TEST(Analysis, DemoCorpusVerdictsAndValidation)
 {
-    MachinePool pool(machineConfigForProfile("default"));
     for (const ProgramTarget &target : programTargets()) {
         const LeakageReport report =
-            analyzeProgramTarget(target, "default", &pool);
+            analyzeProgramTarget(target, "default", /*validate=*/true);
         EXPECT_EQ(report.status, "ok") << target.name;
         EXPECT_TRUE(report.validation.ran) << target.name;
         EXPECT_TRUE(report.validation.passed)

@@ -247,6 +247,62 @@ TEST(PlruPattern, PackedTransitionMatchesSetModel)
     }
 }
 
+TEST(PlruPattern, MeetInTheMiddleAgreesWithExactBfs)
+{
+    // The W = 8 graph outgrows the expansion cap, so leaves are in
+    // play. On seeded (v, u, bound) triples the meet-in-the-middle
+    // check must say "path" exactly when the bounded BFS finds u, and
+    // the BFS path must be a shortest path from v to u. u is the end of
+    // a short random walk over expanded nodes, and v its start, any
+    // expanded node, or a leaf, so both answers occur.
+    PlruPinGraph graph(8);
+    const auto expanded = static_cast<std::int64_t>(graph.expanded());
+    const auto nodes = static_cast<std::int64_t>(graph.nodes());
+    ASSERT_LT(expanded, nodes);
+    Rng rng(0x3117);
+    int paths = 0, leaves = 0;
+    for (int trial = 0; trial < 2500; ++trial) {
+        const auto start = static_cast<int>(rng.range(0, expanded - 1));
+        int u = start;
+        for (auto steps = rng.range(1, 10); steps > 0; --steps) {
+            const int t = graph.next(static_cast<std::size_t>(u),
+                                     static_cast<int>(rng.range(1, 9)));
+            if (t >= 0 && t < expanded)
+                u = t;
+        }
+        int v = start;
+        switch (rng.range(0, 3)) {
+          case 0:
+            v = static_cast<int>(rng.range(0, expanded - 1));
+            break;
+          case 1:
+            v = static_cast<int>(rng.range(expanded, nodes - 1));
+            ++leaves;
+            break;
+        }
+        if (v == u)
+            continue;
+        const auto bound = static_cast<int>(rng.range(1, 15));
+        SCOPED_TRACE("v=" + std::to_string(v) + " u=" + std::to_string(u) +
+                     " bound=" + std::to_string(bound));
+        const bool meets = graph.reaches(v, u, bound);
+        const std::vector<int> path = graph.shortestPath(v, u, bound);
+        ASSERT_EQ(meets, !path.empty());
+        if (path.empty())
+            continue;
+        ++paths;
+        ASSERT_LE(path.size(), static_cast<std::size_t>(bound));
+        int at = v;
+        for (int line : path)
+            at = graph.next(static_cast<std::size_t>(at), line);
+        ASSERT_EQ(at, u);
+        ASSERT_FALSE(
+            graph.reaches(v, u, static_cast<int>(path.size()) - 1));
+    }
+    EXPECT_GT(paths, 500);
+    EXPECT_GT(leaves, 300);
+}
+
 TEST(PlruPattern, TwoWayCacheAdmitsNoPinPattern)
 {
     // With W = 2, filling the only non-pinned way necessarily points
